@@ -24,7 +24,6 @@ from .qmat import (
     ValidationReport,
     basis_ket,
     eig_hermitian,
-    inv_sqrt_psd,
     kron,
     partial_trace,
     validate_density,
@@ -54,9 +53,7 @@ from .netswap import MeasurementBasis, SwapOutcome, bell_basis, bsm_swap, reduce
 from .optimize import (
     OptConfig,
     OptResult,
-    max_orthonormal_triads,
     max_unit_sphere,
-    rotation_from_angles,
     swap_criterion_ceiling,
     swap_criterion_value,
     unit_vector,

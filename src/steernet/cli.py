@@ -24,6 +24,7 @@ from .criteria import (
     DELTA,
     CriterionReport,
     MeasurementTriad,
+    _report,
     bell_local_3322,
     bowles_unsteerable,
     canonical_form,
@@ -128,19 +129,13 @@ def cmd_check(args) -> int:
     rho = _parse_state(args.state)
     kind = args.criterion
     if kind == "f3":
-        value = f3_value(decompose(rho))
-        margin = value - 1.0
-        verdict = "boundary" if abs(margin) <= DELTA else ("violated" if margin > 0 else "satisfied")
-        rep = CriterionReport("f3", value, 1.0, verdict, None, margin)
+        rep = _report("f3", f3_value(decompose(rho)), 1.0, None)
     elif kind == "cjwr":
         if (args.alice is None) != (args.charlie is None):
             raise ArgumentError("give both --alice and --charlie or neither")
         if args.alice is not None:
             ta, tc = _parse_triad(args.alice), _parse_triad(args.charlie)
-            value = cjwr_value(rho, ta, tc)
-            margin = value - 1.0
-            verdict = "boundary" if abs(margin) <= DELTA else ("violated" if margin > 0 else "satisfied")
-            rep = CriterionReport("cjwr_value", value, 1.0, verdict, None, margin)
+            rep = _report("cjwr_value", cjwr_value(rho, ta, tc), 1.0, None)
         else:
             rep = cjwr_max(rho)
     elif kind == "chsh":

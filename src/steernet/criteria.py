@@ -273,12 +273,11 @@ def bell_local_3322(rho: DensityMatrix, cfg: OptConfig = OptConfig()) -> Criteri
     return _report("bell_local_3322", value, 0.0, witness)
 
 
-def canonical_map(rho: DensityMatrix, exponent: float = -0.5) -> DensityMatrix:
+def canonical_map(rho: DensityMatrix) -> DensityMatrix:
     """Flatten the second-party marginal by a sandwich map and renormalize.
 
-    The default exponent -1/2 nulls the second party's Bloch vector exactly.
-    exponent=-1.0 is kept for comparison; it does NOT null that vector and
-    is not used by any pipeline here.
+    Sandwiching with the inverse square root of that marginal nulls the
+    second party's Bloch vector exactly.
     """
     if rho.qubits != 2:
         raise ArgumentError("canonical map is defined for two-qubit states")
@@ -288,7 +287,7 @@ def canonical_map(rho: DensityMatrix, exponent: float = -0.5) -> DensityMatrix:
         raise SingularMarginalError(
             f"second-party marginal has eigenvalue {vals.min():.3e}"
         )
-    X = (vecs * vals**exponent) @ vecs.conj().T
+    X = (vecs * vals**-0.5) @ vecs.conj().T
     sx = kron(np.eye(2), X)
     m = sx @ rho.mat @ sx
     return DensityMatrix.normalized(m)

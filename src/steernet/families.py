@@ -48,6 +48,14 @@ class FamilySpec:
             if m.shape != (4, 4):
                 raise ArgumentError(f"raw matrix must be 4x4, got {m.shape}")
             params = {"matrix": m}
+        else:
+            # JSON true/false and quoted numbers would otherwise pass float()
+            bad = sorted(
+                k for k, v in params.items()
+                if isinstance(v, bool) or not isinstance(v, (int, float))
+            )
+            if bad:
+                raise ArgumentError(f"parameter(s) {bad} must be JSON numbers")
         return FamilySpec(fam, params)
 
     def to_dict(self) -> dict:

@@ -7,7 +7,7 @@ many run in total).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -68,17 +68,6 @@ def unit_vector(theta: float, phi: float) -> np.ndarray:
     )
 
 
-def rotation_from_angles(a: float, b: float, c: float) -> np.ndarray:
-    """Proper rotation Rz(a) Ry(b) Rz(c); its rows form an orthonormal triad."""
-    ca, sa = math.cos(a), math.sin(a)
-    cb, sb = math.cos(b), math.sin(b)
-    cc, sc = math.cos(c), math.sin(c)
-    rz1 = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
-    ry = np.array([[cb, 0.0, sb], [0.0, 1.0, 0.0], [-sb, 0.0, cb]])
-    rz2 = np.array([[cc, -sc, 0.0], [sc, cc, 0.0], [0.0, 0.0, 1.0]])
-    return rz1 @ ry @ rz2
-
-
 def _sphere_start(i: int, seed: int):
     """Fibonacci-lattice point number i with a small seeded jitter."""
     z = 1 - 2 * ((i + 0.5) % _LATTICE) / _LATTICE
@@ -118,33 +107,6 @@ def max_unit_sphere(f, cfg: OptConfig = OptConfig()) -> OptResult:
             best_val = v
             best_x = ax
     return OptResult(best_val, best_x, converged)
-
-
-def max_orthonormal_triads(f, cfg: OptConfig = OptConfig()) -> OptResult:
-    """Maximize a function of two orthonormal triads (rows of two rotations).
-
-    Six angles in total, three per rotation; start angles are drawn from the
-    per-restart seeded streams.
-    """
-
-    def neg(x):
-        ta = rotation_from_angles(x[0], x[1], x[2])
-        tb = rotation_from_angles(x[3], x[4], x[5])
-        return -_finite(f(ta, tb), f"angles {x}")
-
-    best_val = -math.inf
-    best_x = None
-    converged = 0
-    for i in range(cfg.restarts):
-        x0 = np.random.default_rng([cfg.seed, i]).uniform(0.0, 2 * math.pi, 6)
-        res = _nm(neg, x0, cfg)
-        converged += bool(res.success)
-        if -res.fun > best_val:
-            best_val = -res.fun
-            best_x = res.x
-    ta = rotation_from_angles(best_x[0], best_x[1], best_x[2])
-    tb = rotation_from_angles(best_x[3], best_x[4], best_x[5])
-    return OptResult(best_val, (ta, tb), converged)
 
 
 def swap_criterion_value(x, u2, w1, w2) -> float:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, SingularMarginalError, SizeError, StateError
+from .errors import ArgumentError, SizeError, StateError
 
 MAX_DIM = 16
 
@@ -177,17 +177,3 @@ def eig_hermitian(m: np.ndarray):
     vals, vecs = np.linalg.eigh(m)
     return vals, vecs
 
-
-def inv_sqrt_psd(m: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    """Inverse square root of a Hermitian PSD matrix.
-
-    Raises SingularMarginalError when any eigenvalue falls below eps; the
-    callers use this on marginals that the theory requires invertible.
-    """
-    vals, vecs = eig_hermitian(m)
-    if vals.min() < eps:
-        raise SingularMarginalError(
-            f"eigenvalue {vals.min():.3e} below eps={eps:.1e}; matrix not invertible"
-        )
-    x = (vecs * vals**-0.5) @ vecs.conj().T
-    return (x + x.conj().T) / 2

@@ -8,18 +8,17 @@ is at least 1e-12, and the value clears the threshold by more than DELTA.
 Values and probabilities are recorded for every cell regardless of the gate,
 so consumers can study the conditional quantities on their own.
 
-Scans are deterministic: cells are evaluated independently (work pool capped
-by the STEERNET_THREADS env var) and emitted in row-major grid order, and
-rerunning with the same seed reproduces output files byte for byte.
+Scans are deterministic: cells are evaluated one after another in row-major
+grid order, and rerunning with the same seed reproduces output files byte for
+byte.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__
 from .criteria import DELTA, bowles_unsteerable, canonical_form, f3_value, reduced_steering
 from .bloch import decompose
 from .errors import ArgumentError, SingularMarginalError
@@ -28,27 +27,6 @@ from .netswap import bsm_swap, star_swap
 from .optimize import OptConfig
 
 PROB_FLOOR = 1e-12
-
-
-def _pool_size() -> int:
-    cpus = os.cpu_count() or 1
-    cap = os.environ.get("STEERNET_THREADS")
-    if cap is not None:
-        try:
-            cap_n = int(cap)
-        except ValueError:
-            raise ArgumentError(f"STEERNET_THREADS must be an integer, got {cap!r}")
-        return max(1, min(cpus, cap_n))
-    return cpus
-
-
-def _pool_map(fn, items):
-    items = list(items)
-    n = _pool_size()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,6 +114,13 @@ def _params(grid: GridSpec, coords: dict, names):
     return [merged[n] for n in names]
 
 
+def _scan(grid: GridSpec, labels, one, criteria, seed, **extra) -> SweepResult:
+    """Evaluate `one` on every cell in row-major order and attach the metadata."""
+    cells = tuple(one(coords) for coords in grid.cells())
+    meta = {"criteria": criteria, "delta": DELTA, "seed": seed, "version": __version__, **extra}
+    return SweepResult(grid, labels, cells, meta)
+
+
 def scan_linear(grid: GridSpec, audit_bell: bool = False,
                 cfg: OptConfig = OptConfig(restarts=8)) -> SweepResult:
     """Two-state chain scan over (p, alpha).
@@ -168,11 +153,7 @@ def scan_linear(grid: GridSpec, audit_bell: bool = False,
                     }
         return SweepCell(coords, values, probs, activated, boundary, inputs_ok, audit)
 
-    cells = tuple(_pool_map(one, grid.cells()))
-    from . import __version__
-
-    meta = {"criteria": ["f3"], "delta": DELTA, "seed": cfg.seed, "version": __version__}
-    return SweepResult(grid, labels, cells, meta)
+    return _scan(grid, labels, one, ["f3"], cfg.seed)
 
 
 def scan_star(alpha: float, grid: GridSpec) -> SweepResult:
@@ -193,17 +174,7 @@ def scan_star(alpha: float, grid: GridSpec) -> SweepResult:
         activated, boundary = _flags(values, probs, inputs_ok)
         return SweepCell(coords, values, probs, activated, boundary, inputs_ok)
 
-    cells = tuple(_pool_map(one, grid.cells()))
-    from . import __version__
-
-    meta = {
-        "criteria": ["reduced_steering"],
-        "delta": DELTA,
-        "seed": 0,
-        "version": __version__,
-        "alpha": float(alpha),
-    }
-    return SweepResult(grid, labels, cells, meta)
+    return _scan(grid, labels, one, ["reduced_steering"], 0, alpha=float(alpha))
 
 
 def scan_genuine(grid: GridSpec, identical: bool = False,
@@ -244,17 +215,7 @@ def scan_genuine(grid: GridSpec, identical: bool = False,
         activated, boundary = _flags(values, probs, inputs_ok)
         return SweepCell(coords, values, probs, activated, boundary, inputs_ok)
 
-    cells = tuple(_pool_map(one, grid.cells()))
-    from . import __version__
-
-    meta = {
-        "criteria": ["f3", "bowles"],
-        "delta": DELTA,
-        "seed": cfg.seed,
-        "version": __version__,
-        "identical": bool(identical),
-    }
-    return SweepResult(grid, labels, cells, meta)
+    return _scan(grid, labels, one, ["f3", "bowles"], cfg.seed, identical=bool(identical))
 
 
 # serialization: floats printed with 17 significant digits so files

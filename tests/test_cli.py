@@ -64,8 +64,12 @@ def test_check_rejects_bad_json():
 
 
 def test_check_rejects_bad_parameters():
-    r = run_cli("check", "f3", '{"family":"gamma1","p":2.0,"alpha":0.1}')
-    assert r.returncode == 2
+    # out of range, a JSON bool and a quoted number are all input errors
+    for p in ("2.0", "true", '"0.5"'):
+        r = run_cli("check", "f3", '{"family":"gamma1","p":%s,"alpha":0.1}' % p)
+        assert r.returncode == 2, p
+    # a JSON integer is a number
+    assert run_cli("check", "f3", '{"family":"gamma1","p":1,"alpha":0.1}').returncode == 0
 
 
 def test_swap_two_phi_plus():

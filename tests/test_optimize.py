@@ -6,9 +6,7 @@ import pytest
 from steernet import (
     ArgumentError,
     OptConfig,
-    max_orthonormal_triads,
     max_unit_sphere,
-    rotation_from_angles,
     swap_criterion_ceiling,
     swap_criterion_value,
     unit_vector,
@@ -33,14 +31,6 @@ def test_unit_vector_parametrization():
     for _ in range(20):
         v = unit_vector(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_rotation_from_angles_is_proper():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        r = rotation_from_angles(*rng.uniform(0, 2 * math.pi, 3))
-        assert np.allclose(r @ r.T, np.eye(3), atol=1e-13)
-        assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_max_unit_sphere_linear_functional():
@@ -77,20 +67,6 @@ def test_max_unit_sphere_deterministic():
     r2 = max_unit_sphere(f, OptConfig(restarts=6, seed=21))
     assert r1.value == r2.value
     assert np.array_equal(r1.argmax, r2.argmax)
-
-
-def test_max_orthonormal_triads_frobenius_bound():
-    # sum_i a_i.M.b_i over two orthonormal triads is the nuclear norm of M
-    M = np.diag([0.9, 0.5, 0.2])
-
-    def f(ta, tb):
-        return float(sum(ta[i] @ M @ tb[i] for i in range(3)))
-
-    res = max_orthonormal_triads(f, OptConfig(restarts=16, seed=7))
-    assert res.value == pytest.approx(1.6, abs=1e-6)
-    ta, tb = res.argmax
-    assert np.allclose(ta @ ta.T, np.eye(3), atol=1e-10)
-    assert np.allclose(tb @ tb.T, np.eye(3), atol=1e-10)
 
 
 def test_swap_criterion_value_spot_checks():

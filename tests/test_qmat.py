@@ -4,12 +4,10 @@ import pytest
 from steernet import (
     ArgumentError,
     DensityMatrix,
-    SingularMarginalError,
     SizeError,
     StateError,
     basis_ket,
     eig_hermitian,
-    inv_sqrt_psd,
     kron,
     partial_trace,
     validate_density,
@@ -113,16 +111,3 @@ def test_eig_hermitian_matches_numpy():
     vals, vecs = eig_hermitian(h)
     assert np.allclose(vecs @ np.diag(vals) @ vecs.conj().T, h, atol=1e-12)
     assert np.all(np.diff(vals) >= 0)
-
-
-def test_inv_sqrt_psd_inverts_square_root():
-    rng = np.random.default_rng(5)
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    h = g @ g.conj().T + 0.1 * np.eye(2)
-    x = inv_sqrt_psd(h)
-    assert np.allclose(x @ h @ x, np.eye(2), atol=1e-10)
-
-
-def test_inv_sqrt_psd_rejects_singular():
-    with pytest.raises(SingularMarginalError):
-        inv_sqrt_psd(np.diag([1.0, 0.0]).astype(complex))

@@ -108,22 +108,6 @@ def test_json_round_trip(tmp_path):
         assert cell["inputs_ok"] == orig.inputs_ok
 
 
-def test_thread_pool_does_not_change_results(monkeypatch):
-    g = GridSpec([("p", 0.0, 1.0, 9)], {"alpha": 0.12})
-    monkeypatch.setenv("STEERNET_THREADS", "1")
-    serial = list(csv_lines(scan_linear(g)))
-    monkeypatch.setenv("STEERNET_THREADS", "4")
-    pooled = list(csv_lines(scan_linear(g)))
-    assert serial == pooled
-
-
-def test_bad_thread_env_rejected(monkeypatch):
-    monkeypatch.setenv("STEERNET_THREADS", "lots")
-    g = GridSpec([("p", 0.0, 1.0, 3)], {"alpha": 0.1})
-    with pytest.raises(ArgumentError):
-        scan_linear(g)
-
-
 def test_float_format_round_trips():
     xs = [0.1, 1 / 3, 0.331, 2e-17, 1.0]
     for x in xs:
