@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .bloch import BlochForm, decompose, diagonalize_correlation, reconstruct
 from .errors import ArgumentError, InternalError, PreconditionError, SingularMarginalError
@@ -111,6 +110,8 @@ def _balanced_rotation(M: np.ndarray) -> np.ndarray:
     diagonal spread contracts to zero, which is where the correlator sum
     over an orthonormal triad is maximal.
     """
+    from scipy.optimize import brentq  # only `check cjwr` needs it; keeps scans scipy-free
+
     R = np.eye(3)
     for _ in range(80):
         Mp = R @ M @ R.T

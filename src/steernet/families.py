@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError, DegenerateDenominatorError
-from .qmat import DensityMatrix, basis_ket, validate_density
+from .qmat import DensityMatrix, _trusted, basis_ket, validate_density
 
 FAMILIES = ("gamma1", "gamma2", "omega", "werner", "raw")
 
@@ -47,6 +47,9 @@ class FamilySpec:
                 raise ArgumentError("raw matrix must be rows of [re, im] pairs") from exc
             if m.shape != (4, 4):
                 raise ArgumentError(f"raw matrix must be 4x4, got {m.shape}")
+            extra = sorted(set(params) - {"matrix"})
+            if extra:
+                raise ArgumentError(f"unexpected parameter(s) {extra}")
             params = {"matrix": m}
         else:
             # JSON true/false and quoted numbers would otherwise pass float()
@@ -142,7 +145,7 @@ def make_state(spec: FamilySpec) -> DensityMatrix:
             f"raw matrix failed validation: hermitian={rep.hermitian} "
             f"trace_dev={rep.trace_dev:.3e} min_eig={rep.min_eig:.3e}"
         )
-    return DensityMatrix(m)
+    return _trusted(np.array(m, dtype=complex))
 
 
 def gamma_f3(p: float, alpha: float) -> float:
@@ -161,16 +164,17 @@ def phi_branch_f3(p: float, alpha: float) -> float:
     """Closed-form conditional correlation weight for the two phi-branch outcomes.
 
     Equals f3 of the 00/01 swap conditionals of (gamma1, gamma2) at equal
-    (p, alpha); the pair is steerable there iff the value exceeds 1.
+    (p, alpha); the pair is steerable there iff the value exceeds 1. Those
+    conditionals are w|phi+-><phi+-| + (1-w)|01><01| with
+    w = (1-p)cos^2(alpha) / ((1-p)cos^2(alpha) + p), whose correlation tensor
+    is diag(w, -w, 2w-1). On alpha in [0, pi/4] the denominator is at least
+    1/2.
     """
     p = _check_range("p", p, 0.0, 1.0)
     alpha = _check_range("alpha", alpha, 0.0, math.pi / 4)
-    c2, c4 = math.cos(2 * alpha), math.cos(4 * alpha)
-    num = 9 - 26 * p + 25 * p * p + 4 * (3 - 8 * p + 5 * p * p) * c2 + 3 * (1 - p) ** 2 * c4
-    den = 2 * (-1 - p + (-1 + p) * c2) ** 2
-    if den < 1e-12:
-        raise DegenerateDenominatorError(f"denominator {den:.3e} at p={p}, alpha={alpha}")
-    return num / den
+    c = (1 - p) * math.cos(alpha) ** 2
+    w = c / (c + p)
+    return 2 * w * w + (2 * w - 1) ** 2
 
 
 def psi_branch_f3(p: float, alpha: float) -> float:

@@ -12,6 +12,14 @@ pair the EDGE party holds the first qubit and the centre the second; the
 alternative ordering reproduces none of the reference activation ranges, so
 this one is load-bearing.
 
+Neither joint state (16- or 64-dimensional) is ever built. One einsum on a
+path fixed at import contracts the input pairs with every outcome's
+projector, straight to the stack of unnormalized conditionals on the outer
+parties: four 4x4 (A, C) matrices for the chain, eight 8x8 ones for the
+star. Each is divided by its trace (the outcome probability) and passed
+through `DensityMatrix.normalized`, which clamps rounding residue and
+returns a trusted state without validating it again.
+
 Outcomes with probability below 1e-12 carry a degenerate flag and a
 maximally mixed placeholder; conditioning on null events is undefined.
 """
@@ -22,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, InternalError
-from .qmat import DensityMatrix, basis_ket, partial_trace
+from .qmat import DensityMatrix, _trusted, basis_ket, partial_trace
 
 DEGENERATE_PROB = 1e-12
 
@@ -87,11 +95,28 @@ def star_basis() -> MeasurementBasis:
 _BELL = bell_basis()
 _STAR = star_basis()
 _BELL_LABELS = ("00", "01", "10", "11")
+_STAR_LABELS = tuple(str(j + 1) for j in range(8))
 
-# projectors I x |bell><bell| x I on the joint order (A, B1, B2, C)
-_BELL_PROJ = tuple(
-    np.kron(np.kron(np.eye(2), np.outer(b, b.conj())), np.eye(2)) for b in _BELL.vectors
-)
+# Einsum axes. Chain: rho_ab (a, b1, a', b1'), rho_bc (b2, c, b2', c'),
+# kernel (outcome, b1, b2, b1', b2'). Star: each pair (edge, centre, edge',
+# centre'), kernel (outcome, three centre qubits, three centre' qubits).
+# Kernel entries are conj(v[x]) v[y] for the outcome vector v, so the
+# contraction takes <v| . |v> over the centre qubits.
+_CHAIN_EIN = "ijkl,mnop,qjmlo->qinkp"
+_STAR_EIN = "ibjq,kcls,mdnt,obcdqst->oikmjln"
+
+
+def _kernel(vectors, centre_qubits: int) -> np.ndarray:
+    vs = np.stack(vectors)
+    k = np.einsum("ox,oy->oxy", vs.conj(), vs)
+    return k.reshape((len(vs),) + (2,) * (2 * centre_qubits))
+
+
+_CHAIN_KER = _kernel(_BELL.vectors, 2)
+_STAR_KER = _kernel(_STAR.vectors, 3)
+_PAIR = np.zeros((2, 2, 2, 2), dtype=complex)
+_CHAIN_PATH = np.einsum_path(_CHAIN_EIN, _PAIR, _PAIR, _CHAIN_KER, optimize="optimal")[0]
+_STAR_PATH = np.einsum_path(_STAR_EIN, _PAIR, _PAIR, _PAIR, _STAR_KER, optimize="optimal")[0]
 
 
 def _require_two_qubit(rho: DensityMatrix, name: str):
@@ -99,8 +124,25 @@ def _require_two_qubit(rho: DensityMatrix, name: str):
         raise ArgumentError(f"{name} must be a two-qubit DensityMatrix")
 
 
+def _outcomes(labels, conds) -> list:
+    """SwapOutcomes from the stacked unnormalized conditionals of one swap."""
+    d = conds.shape[-1]
+    out = []
+    for label, m in zip(labels, conds):
+        p = float(m.trace().real)
+        if p < DEGENERATE_PROB:
+            placeholder = _trusted(np.eye(d, dtype=complex) / d)
+            out.append(SwapOutcome(label, max(p, 0.0), placeholder, True))
+            continue
+        out.append(SwapOutcome(label, p, DensityMatrix.normalized(m / p)))
+    return out
+
+
 def bsm_swap(rho_ab: DensityMatrix, rho_bc: DensityMatrix) -> list:
     """Bell-basis measurement on the middle party of a two-link chain.
+
+    Each outcome's 4x4 conditional on (A, C) is contracted directly from the
+    two input pairs; the 16-dimensional joint state is never materialized.
 
     Parameters
     ----------
@@ -116,17 +158,14 @@ def bsm_swap(rho_ab: DensityMatrix, rho_bc: DensityMatrix) -> list:
     """
     _require_two_qubit(rho_ab, "rho_ab")
     _require_two_qubit(rho_bc, "rho_bc")
-    joint = np.kron(rho_ab.mat, rho_bc.mat)
-    out = []
-    for label, proj in zip(_BELL_LABELS, _BELL_PROJ):
-        m = proj @ joint @ proj
-        p = float(np.trace(m).real)
-        if p < DEGENERATE_PROB:
-            out.append(SwapOutcome(label, max(p, 0.0), DensityMatrix(np.eye(4) / 4), True))
-            continue
-        cond4 = DensityMatrix.normalized(m / p)
-        out.append(SwapOutcome(label, p, partial_trace(cond4, (0, 3))))
-    return out
+    conds = np.einsum(
+        _CHAIN_EIN,
+        rho_ab.mat.reshape(2, 2, 2, 2),
+        rho_bc.mat.reshape(2, 2, 2, 2),
+        _CHAIN_KER,
+        optimize=_CHAIN_PATH,
+    ).reshape(4, 4, 4)
+    return _outcomes(_BELL_LABELS, conds)
 
 
 def star_swap(rho1: DensityMatrix, rho2: DensityMatrix, rho3: DensityMatrix) -> list:
@@ -143,23 +182,15 @@ def star_swap(rho1: DensityMatrix, rho2: DensityMatrix, rho3: DensityMatrix) -> 
     """
     for i, r in enumerate((rho1, rho2, rho3)):
         _require_two_qubit(r, f"rho{i + 1}")
-    # axes (edge, centre, edge', centre') per input pair
-    t1 = rho1.mat.reshape(2, 2, 2, 2)
-    t2 = rho2.mat.reshape(2, 2, 2, 2)
-    t3 = rho3.mat.reshape(2, 2, 2, 2)
-    out = []
-    for j, vec in enumerate(_STAR.vectors):
-        d = vec.reshape(2, 2, 2)
-        m = np.einsum(
-            "ibjq,kcls,mdnt,bcd,qst->ikmjln",
-            t1, t2, t3, d.conj(), d, optimize=True,
-        ).reshape(8, 8)
-        p = float(np.trace(m).real)
-        if p < DEGENERATE_PROB:
-            out.append(SwapOutcome(str(j + 1), max(p, 0.0), DensityMatrix(np.eye(8) / 8), True))
-            continue
-        out.append(SwapOutcome(str(j + 1), p, DensityMatrix.normalized(m / p)))
-    return out
+    conds = np.einsum(
+        _STAR_EIN,
+        rho1.mat.reshape(2, 2, 2, 2),
+        rho2.mat.reshape(2, 2, 2, 2),
+        rho3.mat.reshape(2, 2, 2, 2),
+        _STAR_KER,
+        optimize=_STAR_PATH,
+    ).reshape(8, 8, 8)
+    return _outcomes(_STAR_LABELS, conds)
 
 
 def reduced_pairs(rho3: DensityMatrix) -> tuple:

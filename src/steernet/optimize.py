@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ArgumentError, EvaluationError, InternalError
 
@@ -42,6 +41,10 @@ class OptResult:
 
 
 def _nm(neg, x0, cfg):
+    # imported on first use: only the numeric searches need scipy, and the
+    # import would otherwise dominate the start-up of every chain or star scan
+    from scipy.optimize import minimize
+
     return minimize(
         neg,
         x0,

@@ -4,6 +4,13 @@ Qubit index 0 is the leftmost tensor factor: the basis ket |b0 b1 .. b_{n-1}>
 maps to row sum(b_i * 2**(n-1-i)), which is what numpy's kron produces.
 All values are immutable after construction and every operation is a pure
 function, so concurrent use needs no coordination.
+
+States are validated once, where they enter: the public `DensityMatrix(...)`
+constructor checks Hermiticity, unit trace and positivity. Code whose result
+is a density matrix by construction (`normalized`, which clamps and
+rescales, `partial_trace` of a valid state, the swaps' null placeholders, a
+raw state spec that has just been validated) wraps it with the private
+trusted constructor `_trusted` instead, which skips that check.
 """
 
 from dataclasses import dataclass
@@ -30,7 +37,7 @@ def _check_square_pow2(m: np.ndarray) -> int:
         raise ArgumentError(f"dimension {dim} is not a power of 2 >= 2")
     if dim > MAX_DIM:
         raise SizeError(f"dimension {dim} exceeds the supported maximum {MAX_DIM}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ArgumentError("matrix entries must be finite")
     return n
 
@@ -102,20 +109,35 @@ class DensityMatrix:
 
         Symmetrizes, clamps eigenvalues in [-1e-10, 0) to zero, and rescales
         to unit trace. Conditioning arithmetic routinely leaves rounding
-        residue at that scale; anything worse still raises.
+        residue at that scale; anything worse still raises. The result is a
+        density matrix by construction and is not validated again.
         """
         m = np.asarray(mat, dtype=complex)
         _check_square_pow2(m)
         m = (m + m.conj().T) / 2
-        vals, vecs = np.linalg.eigh(m)
-        if vals.min() < -PSD_TOL:
-            raise StateError(f"matrix is not PSD (min eigenvalue {vals.min():.3e})")
-        vals = np.clip(vals, 0.0, None)
+        vals, vecs = np.linalg.eigh(m)  # ascending, so vals[0] is the minimum
+        if vals[0] < -PSD_TOL:
+            raise StateError(f"matrix is not PSD (min eigenvalue {vals[0]:.3e})")
+        vals = np.maximum(vals, 0.0)
         m = (vecs * vals) @ vecs.conj().T
-        tr = np.trace(m).real
+        tr = m.trace().real
         if tr <= 0:
             raise StateError("matrix has non-positive trace")
-        return DensityMatrix(m / tr)
+        return _trusted(m / tr)
+
+
+def _trusted(m: np.ndarray) -> DensityMatrix:
+    """Wrap a complex matrix that is a density matrix by construction.
+
+    Skips validation, so only package arithmetic whose output is Hermitian,
+    PSD and of unit trace whenever its input is may call it; `m` must not be
+    shared with anything that could modify it.
+    """
+    rho = object.__new__(DensityMatrix)
+    m.flags.writeable = False
+    object.__setattr__(rho, "mat", m)
+    object.__setattr__(rho, "qubits", m.shape[0].bit_length() - 1)
+    return rho
 
 
 def basis_ket(bits) -> np.ndarray:
@@ -152,7 +174,9 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     Returns
     -------
     DensityMatrix
-        State on the kept qubits; trace preserved to 1e-12 by construction.
+        State on the kept qubits. The partial trace of a valid state is a
+        valid state, so the result is only symmetrized and rescaled to unit
+        trace, not re-validated.
     """
     n = rho.qubits
     kept = sorted(set(int(q) for q in keep))
@@ -166,7 +190,9 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         t = np.trace(t, axis1=q, axis2=q + m)
         m -= 1
     d = 2 ** len(kept)
-    return DensityMatrix.normalized(t.reshape(d, d))
+    t = t.reshape(d, d)
+    t = (t + t.conj().T) / 2
+    return _trusted(t / t.trace().real)
 
 
 def eig_hermitian(m: np.ndarray):

@@ -70,6 +70,35 @@ def test_check_rejects_bad_parameters():
         assert r.returncode == 2, p
     # a JSON integer is a number
     assert run_cli("check", "f3", '{"family":"gamma1","p":1,"alpha":0.1}').returncode == 0
+    # a raw state takes no parameter besides its matrix
+    raw = dict(json.loads(PHI_PLUS_RAW), p="junk")
+    r = run_cli("check", "f3", json.dumps(raw))
+    assert r.returncode == 2 and "unexpected parameter" in r.stderr
+
+
+_SCIPY_PROBE = """
+import contextlib, io, sys
+from steernet import cli
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(argv)) == 0, argv
+
+run("scan", "linear", "--alpha", "0.1", "--p", "0:1:4")
+run("scan", "star", "--alpha", "0.2", "--p1", "0.08", "--p2", "0.075", "--p3", "0:1:4")
+run("check", "f3", '{"family":"gamma1","p":0.6,"alpha":0.6}')
+print("scipy.optimize" in sys.modules)
+run("scan", "genuine", "--beta1", "0.7", "--s1", "0:1:2", "--identical")
+print("scipy.optimize" in sys.modules)
+"""
+
+
+def test_scipy_loaded_only_by_the_numeric_searches():
+    # chain and star scans and f3 checks start without scipy; the Bowles
+    # search of a genuine scan loads it
+    r = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["False", "True"]
 
 
 def test_swap_two_phi_plus():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steernet import (
     DensityMatrix,
@@ -12,6 +14,7 @@ from steernet import (
     reduced_pairs,
     star_basis,
     star_swap,
+    validate_density,
 )
 
 from util import chain_swap_oracle, rand_state, star_swap_oracle
@@ -124,3 +127,54 @@ def test_reduced_pairs_order_and_content():
     assert np.allclose(pairs[0].mat, partial_trace(rho, (0, 1)).mat, atol=1e-13)
     assert np.allclose(pairs[1].mat, partial_trace(rho, (0, 2)).mat, atol=1e-13)
     assert np.allclose(pairs[2].mat, partial_trace(rho, (1, 2)).mat, atol=1e-13)
+
+
+# Property checks of both swap kernels against the dense projector oracles.
+# Besides random states they draw eps-mixtures (1-eps)|psi><psi| + eps rho:
+# with psi = phi+ the conditionals are nearly pure, so `normalized` clamps
+# eigenvalues at rounding level; with psi = |00> the centre marginals are
+# nearly pure and several outcome probabilities are of order eps, down to
+# 1e-10, just above the 1e-12 null floor.
+_PHI_PLUS = np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2
+_ZERO = np.outer([1, 0, 0, 0], [1, 0, 0, 0])
+_PURE = {"random": None, "phi+": _PHI_PLUS, "00": _ZERO}
+_KINDS = st.sampled_from(sorted(_PURE))
+_EPS = st.sampled_from([1e-10, 1e-8, 1e-6, 1e-3, 0.1])
+_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def _drawn_state(kind, seed, eps):
+    rho = rand_state(np.random.default_rng(seed))
+    if _PURE[kind] is None:
+        return rho
+    return DensityMatrix((1 - eps) * _PURE[kind] + eps * rho.mat)
+
+
+def _check_against_oracle(outs, oracle, vectors):
+    for out, vec in zip(outs, vectors):
+        p, cond = oracle(vec)
+        assert out.probability == pytest.approx(p, abs=1e-14)
+        assert out.degenerate == (out.probability < 1e-12)
+        assert validate_density(out.conditional.mat).ok
+        if not out.degenerate:
+            assert np.max(np.abs(out.conditional.mat - cond)) <= 1e-12
+
+
+@_PROPERTY
+@given(_KINDS, _KINDS, st.integers(0, 2**32 - 1), _EPS)
+def test_chain_swap_kernel_matches_dense_oracle_property(kind_ab, kind_bc, seed, eps):
+    ra = _drawn_state(kind_ab, seed, eps)
+    rb = _drawn_state(kind_bc, seed + 1, eps)
+    outs = bsm_swap(ra, rb)
+    _check_against_oracle(outs, lambda v: chain_swap_oracle(ra, rb, v), bell_basis().vectors)
+
+
+@_PROPERTY
+@given(st.tuples(_KINDS, _KINDS, _KINDS), st.integers(0, 2**32 - 1), _EPS)
+def test_star_swap_kernel_matches_dense_oracle_property(kinds, seed, eps):
+    r1, r2, r3 = (_drawn_state(k, seed + i, eps) for i, k in enumerate(kinds))
+    outs = star_swap(r1, r2, r3)
+    _check_against_oracle(outs, lambda v: star_swap_oracle(r1, r2, r3, v), star_basis().vectors)
+    for out in outs:
+        for pair in reduced_pairs(out.conditional):
+            assert validate_density(pair.mat).ok
