@@ -9,11 +9,9 @@ __version__ = "0.1.0"
 
 from .errors import (
     ArgumentError,
-    DegenerateDenominatorError,
     EvaluationError,
     InternalError,
     NumericIntegrityError,
-    PreconditionError,
     SingularMarginalError,
     SizeError,
     StateError,
@@ -23,8 +21,6 @@ from .qmat import (
     DensityMatrix,
     ValidationReport,
     basis_ket,
-    eig_hermitian,
-    kron,
     partial_trace,
     validate_density,
 )
@@ -33,7 +29,6 @@ from .bloch import (
     DiagonalizedForm,
     decompose,
     diagonalize_correlation,
-    direction_projector,
     reconstruct,
 )
 from .families import (
@@ -41,7 +36,6 @@ from .families import (
     gamma1,
     gamma2,
     gamma_f3,
-    gamma_f3_unsteerable,
     make_state,
     omega,
     omega_unsteerable,

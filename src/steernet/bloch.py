@@ -30,11 +30,6 @@ _OBS = np.stack(
 )
 
 
-def direction_projector(n) -> np.ndarray:
-    """Rank-1 projector (I + n.sigma)/2 for a unit 3-vector n."""
-    return (I2 + n[0] * SX + n[1] * SY + n[2] * SZ) / 2
-
-
 @dataclass(frozen=True, eq=False)
 class BlochForm:
     """Local Bloch vectors u, v and correlation tensor W of a two-qubit state."""

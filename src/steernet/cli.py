@@ -237,7 +237,26 @@ def _emit_result(result, args) -> int:
     return 0
 
 
+# the kind-specific scan flags each kind reads; giving any other one is an error
+_SCAN_READS = {
+    "linear": ("p", "alpha", "alpha_fixed", "audit_bell"),
+    "star": ("alpha", "p1", "p2", "p3"),
+    "genuine": ("beta1", "s1", "beta2", "s2"),
+    "genuine --identical": ("beta1", "s1", "identical"),
+}
+
+
 def cmd_scan(args) -> int:
+    kind = "genuine --identical" if args.kind == "genuine" and args.identical else args.kind
+    unread = [
+        "--" + n.replace("_", "-")
+        for n in sorted(set().union(*_SCAN_READS.values()))
+        if getattr(args, n) not in (None, False) and n not in _SCAN_READS[kind]
+    ]
+    if unread:
+        raise ArgumentError(f"scan {kind} does not read {', '.join(unread)}")
+    if args.alpha is not None and args.alpha_fixed is not None:
+        raise ArgumentError("give --alpha or --alpha-fixed, not both")
     cfg = OptConfig(restarts=args.restarts, seed=args.seed)
     if args.kind == "linear":
         if args.alpha_fixed is not None:
@@ -253,10 +272,7 @@ def cmd_scan(args) -> int:
         grid = _build_grid(args, ("p1", "p2", "p3"))
         result = scan_star(tok, grid)
     else:
-        names = ("beta1", "s1") if args.identical else ("beta1", "s1", "beta2", "s2")
-        if args.identical and (args.beta2 is not None or args.s2 is not None):
-            raise ArgumentError("--identical uses beta1/s1 for both states")
-        grid = _build_grid(args, names)
+        grid = _build_grid(args, ("beta1", "s1", "beta2", "s2"))
         result = scan_genuine(grid, identical=args.identical, cfg=cfg)
     return _emit_result(result, args)
 

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BlochForm, decompose, diagonalize_correlation, reconstruct
-from .errors import ArgumentError, InternalError, PreconditionError, SingularMarginalError
+from .errors import ArgumentError, InternalError, SingularMarginalError
 from .netswap import reduced_pairs
 from .optimize import OptConfig, _nm, max_unit_sphere, unit_vector
-from .qmat import DensityMatrix, eig_hermitian, kron, partial_trace
+from .qmat import DensityMatrix, partial_trace
 
 DELTA = 1e-6
 
@@ -106,34 +106,29 @@ def cjwr_value(rho: DensityMatrix, ta: MeasurementTriad, tc: MeasurementTriad) -
 def _balanced_rotation(M: np.ndarray) -> np.ndarray:
     """Rotation R equalizing the diagonal of R M R^T (M symmetric PSD).
 
-    Pairwise Givens steps on the current extreme diagonal entries; the
-    diagonal spread contracts to zero, which is where the correlator sum
-    over an orthonormal triad is maximal.
+    The equal diagonal is where the correlator sum over an orthonormal triad
+    is maximal. A Givens rotation by theta in the plane of the current
+    extreme diagonal entries i (largest) and j (smallest) maps d_i to
+    a + b cos(2 theta) - m sin(2 theta) = a + r cos(2 theta + phi), with
+    a = (d_i + d_j)/2, b = (d_i - d_j)/2, m = M'_ij, r = hypot(b, m) and
+    phi = atan2(m, b). So theta = (acos((t - a)/r) - phi)/2 sets d_i to the
+    target t = tr M / 3; d_i >= t >= d_j gives a - r <= t <= a + r. One step
+    leaves the other two entries summing to 2t, so a second step balances
+    the diagonal exactly (Schur-Horn; Horn, Amer. J. Math. 76, 620, 1954).
     """
-    from scipy.optimize import brentq  # only `check cjwr` needs it; keeps scans scipy-free
-
+    t = np.trace(M) / 3
     R = np.eye(3)
-    for _ in range(80):
+    for _ in range(2):
         Mp = R @ M @ R.T
         d = np.diag(Mp)
-        if d.max() - d.min() < 1e-13:
-            break
         i, j = int(np.argmax(d)), int(np.argmin(d))
-
-        def gap(th):
-            G = np.eye(3)
-            G[i, i] = G[j, j] = math.cos(th)
-            G[i, j] = -math.sin(th)
-            G[j, i] = math.sin(th)
-            Mq = G @ Mp @ G.T
-            return Mq[i, i] - Mq[j, j]
-
-        th = brentq(gap, 0.0, math.pi / 2)
-        G = np.eye(3)
-        G[i, i] = G[j, j] = math.cos(th)
-        G[i, j] = -math.sin(th)
-        G[j, i] = math.sin(th)
-        R = G @ R
+        if d[i] - d[j] < 1e-13:
+            break
+        a, b, m = (d[i] + d[j]) / 2, (d[i] - d[j]) / 2, Mp[i, j]
+        cos2 = max(-1.0, min(1.0, (t - a) / math.hypot(b, m)))
+        th = (math.acos(cos2) - math.atan2(m, b)) / 2
+        c, s = math.cos(th), math.sin(th)
+        R[[i, j]] = np.array([[c, -s], [s, c]]) @ R[[i, j]]
     return R
 
 
@@ -161,11 +156,6 @@ def cjwr_max(rho: DensityMatrix) -> CriterionReport:
     return _report("cjwr", value, 1.0, witness)
 
 
-def _bell_objective_terms(rho: DensityMatrix):
-    b = decompose(rho)
-    return b.u, b.v, b.W
-
-
 def _joint_prob(u, v, W, a, b) -> float:
     return (1.0 + a @ u + b @ v + a @ W @ b) / 4.0
 
@@ -178,7 +168,8 @@ def chsh_max(rho: DensityMatrix, cfg: OptConfig = OptConfig()) -> CriterionRepor
     sum of the two largest eigenvalues of W^T W; that closed form seeds the
     first restart and is carried in the witness as a cross-check.
     """
-    u, v, W = _bell_objective_terms(rho)
+    form = decompose(rho)
+    u, v, W = form.u, form.v, form.W
 
     def value_at(a1, a2, b1, b2):
         pa1 = (1.0 + a1 @ u) / 2.0
@@ -233,7 +224,8 @@ def i3322_max(rho: DensityMatrix, cfg: OptConfig = OptConfig()) -> CriterionRepo
 
     Local states satisfy value <= 0; the maximally entangled value is 0.25.
     """
-    u, v, W = _bell_objective_terms(rho)
+    form = decompose(rho)
+    u, v, W = form.u, form.v, form.W
 
     def neg(x):
         a = [unit_vector(x[0], x[1]), unit_vector(x[2], x[3]), unit_vector(x[4], x[5])]
@@ -283,13 +275,13 @@ def canonical_map(rho: DensityMatrix) -> DensityMatrix:
     if rho.qubits != 2:
         raise ArgumentError("canonical map is defined for two-qubit states")
     rb = partial_trace(rho, (1,)).mat
-    vals, vecs = eig_hermitian(rb)
+    vals, vecs = np.linalg.eigh(rb)
     if vals.min() < 1e-12:
         raise SingularMarginalError(
             f"second-party marginal has eigenvalue {vals.min():.3e}"
         )
     X = (vecs * vals**-0.5) @ vecs.conj().T
-    sx = kron(np.eye(2), X)
+    sx = np.kron(np.eye(2), X)
     m = sx @ rho.mat @ sx
     return DensityMatrix.normalized(m)
 
@@ -332,7 +324,7 @@ def closed_form_unsteerable(c: CanonicalForm) -> CriterionReport:
     equals 2 max_j |w_j|.
     """
     if np.linalg.norm(c.a) > 1e-10:
-        raise PreconditionError("closed form needs a null local Bloch vector")
+        raise ArgumentError("closed form needs a null local Bloch vector")
     j = int(np.argmax(np.abs(c.w)))
     value = 2 * abs(float(c.w[j]))
     return _report("closed_form", value, 1.0, {"axis": j})

@@ -25,17 +25,9 @@ class NumericIntegrityError(SteernetError):
     """A quantity that must be real carries too large an imaginary part."""
 
 
-class DegenerateDenominatorError(SteernetError):
-    """Closed-form denominator vanished; the expression is undefined there."""
-
-
 class EvaluationError(SteernetError):
     """Objective function returned a non-finite value."""
 
 
 class InternalError(SteernetError):
     """Invariant the implementation must maintain was found broken."""
-
-
-class PreconditionError(SteernetError):
-    """Caller invoked an operation outside its stated domain."""

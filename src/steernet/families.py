@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgumentError, DegenerateDenominatorError
+from .errors import ArgumentError
 from .qmat import DensityMatrix, _trusted, basis_ket, validate_density
 
 FAMILIES = ("gamma1", "gamma2", "omega", "werner", "raw")
@@ -36,27 +36,13 @@ class FamilySpec:
         fam = d["family"]
         params = {k: v for k, v in d.items() if k != "family"}
         if fam == "raw":
-            if "matrix" not in params:
-                raise ArgumentError("raw state spec needs a 'matrix' key")
-            rows = params["matrix"]
-            try:
-                m = np.array(
-                    [[complex(c[0], c[1]) for c in row] for row in rows], dtype=complex
-                )
-            except (TypeError, IndexError) as exc:
-                raise ArgumentError("raw matrix must be rows of [re, im] pairs") from exc
-            if m.shape != (4, 4):
-                raise ArgumentError(f"raw matrix must be 4x4, got {m.shape}")
-            extra = sorted(set(params) - {"matrix"})
-            if extra:
-                raise ArgumentError(f"unexpected parameter(s) {extra}")
-            params = {"matrix": m}
+            (rows,) = _require(params, ("matrix",))
+            entries = np.array(rows, dtype=object)
+            if entries.shape != (4, 4, 2) or not all(map(_is_number, entries.flat)):
+                raise ArgumentError("raw matrix must be 4 rows of 4 [re, im] pairs of numbers")
+            params = {"matrix": np.array([[complex(*c) for c in row] for row in entries])}
         else:
-            # JSON true/false and quoted numbers would otherwise pass float()
-            bad = sorted(
-                k for k, v in params.items()
-                if isinstance(v, bool) or not isinstance(v, (int, float))
-            )
+            bad = sorted(k for k, v in params.items() if not _is_number(v))
             if bad:
                 raise ArgumentError(f"parameter(s) {bad} must be JSON numbers")
         return FamilySpec(fam, params)
@@ -69,6 +55,11 @@ class FamilySpec:
             else:
                 d[k] = float(v)
         return d
+
+
+def _is_number(x) -> bool:
+    """A JSON number: true/false and quoted numbers would otherwise pass float()."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _require(params: dict, names) -> list:
@@ -153,13 +144,6 @@ def gamma_f3(p: float, alpha: float) -> float:
     return 2 * ((1 - p) * math.sin(2 * alpha)) ** 2 + (2 * p - 1) ** 2
 
 
-def gamma_f3_unsteerable(p: float, alpha: float) -> bool:
-    """True when the gamma families fail the three-settings steering test."""
-    p = _check_range("p", p, 0.0, 1.0)
-    alpha = _check_range("alpha", alpha, 0.0, math.pi / 4)
-    return gamma_f3(p, alpha) <= 1.0
-
-
 def phi_branch_f3(p: float, alpha: float) -> float:
     """Closed-form conditional correlation weight for the two phi-branch outcomes.
 
@@ -178,15 +162,23 @@ def phi_branch_f3(p: float, alpha: float) -> float:
 
 
 def psi_branch_f3(p: float, alpha: float) -> float:
-    """Closed-form conditional correlation weight for the two psi-branch outcomes (10/11)."""
+    """Closed-form conditional correlation weight for the two psi-branch outcomes.
+
+    Equals f3 of the 10/11 swap conditionals of (gamma1, gamma2) at equal
+    (p, alpha). With a = (1-p)cos^2(alpha), b = (1-p)sin^2(alpha) and
+    d = (a+p)^2 + b^2, those conditionals have correlation tensors
+    diag(x, x, -z) (10) and diag(-x, -x, -z) (11), x = 2ab/d and
+    z = ((a-p)^2 + b^2)/d, so f3 = 2x^2 + z^2.
+    On alpha in [0, pi/4], a + p >= 1/2, so d >= 1/4.
+    """
     p = _check_range("p", p, 0.0, 1.0)
     alpha = _check_range("alpha", alpha, 0.0, math.pi / 4)
-    c2, c4 = math.cos(2 * alpha), math.cos(4 * alpha)
-    n2 = (3 - 2 * p + 3 * p * p - 4 * (-1 + p) * p * c2 + (-1 + p) ** 2 * c4) ** 2
-    n3 = (3 - 10 * p + 11 * p * p + 4 * (-1 + p) * p * c2 + (-1 + p) ** 2 * c4) ** 2
-    if n2 < 1e-12:
-        raise DegenerateDenominatorError(f"denominator {n2:.3e} at p={p}, alpha={alpha}")
-    return (8 * (1 - p) ** 4 * math.sin(2 * alpha) ** 4 + n3) / n2
+    a = (1 - p) * math.cos(alpha) ** 2
+    b = (1 - p) * math.sin(alpha) ** 2
+    d = (a + p) ** 2 + b * b
+    x = 2 * a * b / d
+    z = ((a - p) ** 2 + b * b) / d
+    return 2 * x * x + z * z
 
 
 def omega_unsteerable(beta: float, s: float) -> bool:

@@ -99,10 +99,6 @@ class DensityMatrix:
         object.__setattr__(self, "mat", m)
         object.__setattr__(self, "qubits", n)
 
-    @property
-    def dim(self) -> int:
-        return 2**self.qubits
-
     @staticmethod
     def normalized(mat: np.ndarray) -> "DensityMatrix":
         """Build a DensityMatrix from nearly-valid arithmetic output.
@@ -150,17 +146,6 @@ def basis_ket(bits) -> np.ndarray:
     return v
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the dimension cap enforced."""
-    na = _check_square_pow2(a)
-    nb = _check_square_pow2(b)
-    if 2 ** (na + nb) > MAX_DIM:
-        raise SizeError(
-            f"product dimension {2 ** (na + nb)} exceeds the supported maximum {MAX_DIM}"
-        )
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Trace out all qubits not listed in `keep`.
 
@@ -193,13 +178,3 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     t = t.reshape(d, d)
     t = (t + t.conj().T) / 2
     return _trusted(t / t.trace().real)
-
-
-def eig_hermitian(m: np.ndarray):
-    """Eigendecomposition of a Hermitian matrix, ascending eigenvalues."""
-    m = np.asarray(m, dtype=complex)
-    if np.max(np.abs(m - m.conj().T)) > 1e-9:
-        raise ArgumentError("matrix is not Hermitian")
-    vals, vecs = np.linalg.eigh(m)
-    return vals, vecs
-

@@ -6,7 +6,6 @@ from steernet import (
     DensityMatrix,
     decompose,
     diagonalize_correlation,
-    direction_projector,
     reconstruct,
     werner,
 )
@@ -76,15 +75,6 @@ def test_diagonalize_short_circuits_on_diagonal_input():
     assert np.allclose(d.rot1, np.eye(3))
     assert np.allclose(d.rot2, np.eye(3))
     assert np.allclose(np.diag(d.base.W), [0.3, 0.3, -0.2])
-
-
-def test_direction_projector_idempotent_unit_trace():
-    rng = np.random.default_rng(31)
-    n = rng.normal(size=3)
-    n /= np.linalg.norm(n)
-    pr = direction_projector(n)
-    assert np.allclose(pr @ pr, pr, atol=1e-14)
-    assert np.trace(pr).real == pytest.approx(1.0, abs=1e-14)
 
 
 def test_bloch_form_shape_validation():

@@ -74,6 +74,12 @@ def test_check_rejects_bad_parameters():
     raw = dict(json.loads(PHI_PLUS_RAW), p="junk")
     r = run_cli("check", "f3", json.dumps(raw))
     assert r.returncode == 2 and "unexpected parameter" in r.stderr
+    # each raw entry is a list of exactly two JSON numbers
+    for entry in ({"re": 0.5}, [0.5, 0.0, 99], [True, False]):
+        raw = json.loads(PHI_PLUS_RAW)
+        raw["matrix"][0][0] = entry
+        r = run_cli("check", "f3", json.dumps(raw))
+        assert r.returncode == 2 and "Traceback" not in r.stderr, entry
 
 
 _SCIPY_PROBE = """
@@ -87,6 +93,7 @@ def run(*argv):
 run("scan", "linear", "--alpha", "0.1", "--p", "0:1:4")
 run("scan", "star", "--alpha", "0.2", "--p1", "0.08", "--p2", "0.075", "--p3", "0:1:4")
 run("check", "f3", '{"family":"gamma1","p":0.6,"alpha":0.6}')
+run("check", "cjwr", '{"family":"gamma1","p":0.6,"alpha":0.6}')
 print("scipy.optimize" in sys.modules)
 run("scan", "genuine", "--beta1", "0.7", "--s1", "0:1:2", "--identical")
 print("scipy.optimize" in sys.modules)
@@ -94,7 +101,7 @@ print("scipy.optimize" in sys.modules)
 
 
 def test_scipy_loaded_only_by_the_numeric_searches():
-    # chain and star scans and f3 checks start without scipy; the Bowles
+    # chain and star scans, f3 and cjwr checks start without scipy; the Bowles
     # search of a genuine scan loads it
     r = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
@@ -162,6 +169,23 @@ def test_scan_star_requires_alpha():
 def test_scan_genuine_identical_conflict():
     r = run_cli("scan", "genuine", "--identical", "--beta1", "0.7", "--s1", "0:1:4", "--beta2", "0.5")
     assert r.returncode == 2
+
+
+def test_scan_rejects_flags_its_kind_does_not_read():
+    for args in (
+        ("linear", "--alpha", "0:0.5:2", "--alpha-fixed", "0.1", "--p", "0:1:2"),
+        ("linear", "--alpha", "0.1", "--p", "0:1:2", "--p3", "0.5"),
+        ("linear", "--alpha", "0.1", "--p", "0:1:2", "--s1", "0.2"),
+        ("linear", "--alpha", "0.1", "--p", "0:1:2", "--identical"),
+        ("star", "--alpha", "0.2", "--p1", "0.1", "--p2", "0.1", "--p3", "0:1:2", "--p", "0.4"),
+        ("star", "--alpha", "0.2", "--p1", "0.1", "--p2", "0.1", "--p3", "0:1:2", "--audit-bell"),
+        ("genuine", "--beta1", "0.7", "--s1", "0:1:2", "--identical", "--s2", "0.5"),
+        ("genuine", "--beta1", "0.7", "--s1", "0.5", "--beta2", "0.6", "--s2", "0:1:1",
+         "--alpha-fixed", "0.1"),
+    ):
+        r = run_cli("scan", *args)
+        assert r.returncode == 2, args
+        assert "error" in r.stderr and r.stdout == "", args
 
 
 def test_scan_unwritable_path_io_error():

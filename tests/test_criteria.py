@@ -9,7 +9,6 @@ from steernet import (
     DensityMatrix,
     MeasurementTriad,
     OptConfig,
-    PreconditionError,
     SingularMarginalError,
     bell_local_3322,
     bowles_unsteerable,
@@ -69,8 +68,9 @@ def test_cjwr_value_sign_insensitive():
 
 def test_cjwr_max_equals_sqrt_f3():
     rng = np.random.default_rng(61)
-    for _ in range(25):
-        rho = rand_state(rng)
+    # already-balanced (werner, phi+) and rank-1 (product) correlation tensors
+    product = DensityMatrix(np.kron(np.diag([0.9, 0.1]), [[0.6, 0.3 - 0.1j], [0.3 + 0.1j, 0.4]]))
+    for rho in [rand_state(rng) for _ in range(25)] + [werner(0.5), _phi_plus(), product]:
         rep = cjwr_max(rho)
         assert rep.value == pytest.approx(
             math.sqrt(f3_value(decompose(rho))), abs=1e-9
@@ -81,8 +81,12 @@ def test_cjwr_max_witness_triads():
     rep = cjwr_max(gamma1(0.214, 0.267))
     alice = rep.witness["alice"]
     assert np.allclose(alice @ alice.T, np.eye(3), atol=1e-10)
+    assert np.linalg.det(alice) == pytest.approx(1.0, abs=1e-12)
     charlie = rep.witness["charlie"]
     assert np.allclose(np.linalg.norm(charlie, axis=1), 1.0, atol=1e-10)
+    W = decompose(gamma1(0.214, 0.267)).W
+    attained = sum(alice[i] @ W @ charlie[i] for i in range(3)) / math.sqrt(3)
+    assert attained == pytest.approx(rep.value, abs=1e-12)
 
 
 def test_chsh_matches_closed_form_on_random_states():
@@ -179,7 +183,7 @@ def test_bowles_flags_undecided_above_one():
 
 
 def test_closed_form_requires_null_bloch():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ArgumentError):
         closed_form_unsteerable(CanonicalForm(np.array([0.1, 0, 0]), np.zeros(3)))
 
 

@@ -12,7 +12,6 @@ from steernet import (
     gamma1,
     gamma2,
     gamma_f3,
-    gamma_f3_unsteerable,
     make_state,
     omega,
     omega_unsteerable,
@@ -78,8 +77,8 @@ def test_gamma_f3_unsteerable_threshold():
     pstar = math.sin(2 * a) ** 2 / (2 + math.sin(2 * a) ** 2)
     assert pstar == pytest.approx(0.019352828243093, abs=1e-12)
     assert gamma_f3(pstar, a) == pytest.approx(1.0, abs=1e-12)
-    assert not gamma_f3_unsteerable(pstar - 1e-6, a)
-    assert gamma_f3_unsteerable(pstar + 1e-6, a)
+    assert gamma_f3(pstar - 1e-6, a) > 1
+    assert gamma_f3(pstar + 1e-6, a) <= 1
     a = 0.2
     pstar = math.sin(2 * a) ** 2 / (2 + math.sin(2 * a) ** 2)
     assert pstar == pytest.approx(0.070479344578167, abs=1e-12)

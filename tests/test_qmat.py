@@ -4,11 +4,8 @@ import pytest
 from steernet import (
     ArgumentError,
     DensityMatrix,
-    SizeError,
     StateError,
     basis_ket,
-    eig_hermitian,
-    kron,
     partial_trace,
     validate_density,
 )
@@ -67,13 +64,6 @@ def test_basis_ket_ordering():
     assert np.argmax(basis_ket((1, 1, 0))) == 6
 
 
-def test_kron_dimension_cap():
-    a = np.eye(8)
-    b = np.eye(4)
-    with pytest.raises(SizeError):
-        kron(a, b)
-
-
 def test_partial_trace_against_index_loop():
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -102,12 +92,3 @@ def test_partial_trace_keeps_ascending_order():
     a = partial_trace(rho, (2, 0)).mat
     b = partial_trace(rho, (0, 2)).mat
     assert np.allclose(a, b, atol=1e-14)
-
-
-def test_eig_hermitian_matches_numpy():
-    rng = np.random.default_rng(3)
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    h = g + g.conj().T
-    vals, vecs = eig_hermitian(h)
-    assert np.allclose(vecs @ np.diag(vals) @ vecs.conj().T, h, atol=1e-12)
-    assert np.all(np.diff(vals) >= 0)
