@@ -121,13 +121,44 @@ def _parse_triad(text: str) -> MeasurementTriad:
     return MeasurementTriad(np.array(rows))
 
 
-def _opt_config(args) -> OptConfig:
-    return OptConfig(restarts=args.restarts, seed=args.seed)
+# the optional flags each command kind reads; giving any other one is an error
+_READS = {
+    "check f3": (),
+    "check cjwr": ("alice", "charlie"),
+    "check chsh": ("restarts", "seed"),
+    "check i3322": ("restarts", "seed"),
+    "check bell-local": ("restarts", "seed"),
+    "check unsteerable": ("restarts", "seed"),
+    "scan linear": ("p", "alpha", "alpha_fixed", "audit_bell", "restarts", "seed"),
+    "scan star": ("alpha", "p1", "p2", "p3"),
+    "scan genuine": ("beta1", "s1", "beta2", "s2", "restarts", "seed"),
+    "scan genuine --identical": ("beta1", "s1", "identical", "restarts", "seed"),
+}
+
+
+def _reject_unread(args, kind: str) -> None:
+    flags = set().union(*(v for k, v in _READS.items() if k.startswith(args.command + " ")))
+    # `is`, not `in (None, False)`: --seed 0 and --restarts 0 count as given
+    given = {n for n in flags if getattr(args, n) is not None and getattr(args, n) is not False}
+    unread = sorted(given - set(_READS[kind]))
+    if unread:
+        names = ", ".join("--" + n.replace("_", "-") for n in unread)
+        raise ArgumentError(f"{kind} does not read {names}")
+
+
+def _opt_config(args, restarts: int) -> OptConfig:
+    """The search budget from --restarts and --seed, or their defaults."""
+    return OptConfig(
+        restarts=restarts if args.restarts is None else args.restarts,
+        seed=0 if args.seed is None else args.seed,
+    )
 
 
 def cmd_check(args) -> int:
-    rho = _parse_state(args.state)
     kind = args.criterion
+    _reject_unread(args, f"check {kind}")
+    rho = _parse_state(args.state)
+    cfg = _opt_config(args, 64)
     if kind == "f3":
         rep = _report("f3", f3_value(decompose(rho)), 1.0, None)
     elif kind == "cjwr":
@@ -139,14 +170,14 @@ def cmd_check(args) -> int:
         else:
             rep = cjwr_max(rho)
     elif kind == "chsh":
-        rep = chsh_max(rho, _opt_config(args))
+        rep = chsh_max(rho, cfg)
     elif kind == "i3322":
-        rep = i3322_max(rho, _opt_config(args))
+        rep = i3322_max(rho, cfg)
     elif kind == "bell-local":
-        rep = bell_local_3322(rho, _opt_config(args))
+        rep = bell_local_3322(rho, cfg)
     elif kind == "unsteerable":
         c = canonical_form(rho)
-        rep = bowles_unsteerable(c, _opt_config(args))
+        rep = bowles_unsteerable(c, cfg)
         wit = dict(rep.witness)
         wit["canonical_a"] = c.a
         wit["canonical_w"] = c.w
@@ -237,27 +268,12 @@ def _emit_result(result, args) -> int:
     return 0
 
 
-# the kind-specific scan flags each kind reads; giving any other one is an error
-_SCAN_READS = {
-    "linear": ("p", "alpha", "alpha_fixed", "audit_bell"),
-    "star": ("alpha", "p1", "p2", "p3"),
-    "genuine": ("beta1", "s1", "beta2", "s2"),
-    "genuine --identical": ("beta1", "s1", "identical"),
-}
-
-
 def cmd_scan(args) -> int:
-    kind = "genuine --identical" if args.kind == "genuine" and args.identical else args.kind
-    unread = [
-        "--" + n.replace("_", "-")
-        for n in sorted(set().union(*_SCAN_READS.values()))
-        if getattr(args, n) not in (None, False) and n not in _SCAN_READS[kind]
-    ]
-    if unread:
-        raise ArgumentError(f"scan {kind} does not read {', '.join(unread)}")
+    identical = " --identical" if args.kind == "genuine" and args.identical else ""
+    _reject_unread(args, f"scan {args.kind}{identical}")
     if args.alpha is not None and args.alpha_fixed is not None:
         raise ArgumentError("give --alpha or --alpha-fixed, not both")
-    cfg = OptConfig(restarts=args.restarts, seed=args.seed)
+    cfg = _opt_config(args, 8)
     if args.kind == "linear":
         if args.alpha_fixed is not None:
             args.alpha = repr(args.alpha_fixed)
@@ -459,8 +475,9 @@ def _build_parser() -> argparse.ArgumentParser:
     chk.add_argument("state", help="state JSON")
     chk.add_argument("--alice", help="first-party triad x,y,z;x,y,z;x,y,z (cjwr only)")
     chk.add_argument("--charlie", help="second-party triad (cjwr only)")
-    chk.add_argument("--restarts", type=int, default=64)
-    chk.add_argument("--seed", type=int, default=0)
+    chk.add_argument("--restarts", type=int,
+                     help="search restarts (default 64; chsh, i3322, bell-local, unsteerable)")
+    chk.add_argument("--seed", type=int, help="search seed (default 0; as --restarts)")
     chk.set_defaults(func=cmd_check)
 
     swp = sub.add_parser("swap", help="swap two (or three) states and report outcomes")
@@ -481,8 +498,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="genuine scan with two identical inputs")
     scn.add_argument("--audit-bell", action="store_true", dest="audit_bell",
                      help="also run Bell tests on activated cells (slow)")
-    scn.add_argument("--seed", type=int, default=0)
-    scn.add_argument("--restarts", type=int, default=8)
+    scn.add_argument("--seed", type=int, help="search seed (default 0; linear, genuine)")
+    scn.add_argument("--restarts", type=int,
+                     help="search restarts (default 8; linear, genuine)")
     scn.add_argument("--out", help="output path (default stdout)")
     scn.add_argument("--format", choices=["csv", "json"], default="csv")
     scn.set_defaults(func=cmd_scan)

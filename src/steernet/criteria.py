@@ -16,7 +16,7 @@ import numpy as np
 from .bloch import BlochForm, decompose, diagonalize_correlation, reconstruct
 from .errors import ArgumentError, InternalError, SingularMarginalError
 from .netswap import reduced_pairs
-from .optimize import OptConfig, _nm, max_unit_sphere, unit_vector
+from .optimize import OptConfig, _best_of, max_unit_sphere
 from .qmat import DensityMatrix, partial_trace
 
 DELTA = 1e-6
@@ -156,8 +156,46 @@ def cjwr_max(rho: DensityMatrix) -> CriterionReport:
     return _report("cjwr", value, 1.0, witness)
 
 
-def _joint_prob(u, v, W, a, b) -> float:
-    return (1.0 + a @ u + b @ v + a @ W @ b) / 4.0
+# Collins-Gisin tables of the probability-form Bell expressions: entry (i, j)
+# weighs P(a_i, b_j), row 0 the second party's marginals P(b_j) and column 0
+# the first party's P(a_i)
+_CHSH = np.array([[0, -1, 0], [-1, 1, 1], [0, 1, -1]])
+_I3322 = np.array([[0, -2, -1, 0], [-1, 1, 1, 1], [0, 1, 1, -1], [0, 1, -1, 0]])
+_E0 = np.array([[2.0, 0.0, 0.0, 0.0]])
+
+
+def _rows(x) -> np.ndarray:
+    """Rows (1, n) for the unit vectors n at interleaved polar angles
+    (theta_0, phi_0, theta_1, phi_1, ...)."""
+    th, ph = x[0::2], x[1::2]
+    s = np.sin(th)
+    return np.array([np.ones(len(th)), s * np.cos(ph), s * np.sin(ph), np.cos(th)]).T
+
+
+def _bell_max(table, form: BlochForm, cfg: OptConfig, first=()):
+    """Maximize a Bell expression over measurement directions, from the
+    given start angles followed by seeded uniform ones.
+
+    With T = [[1, v], [u, W]] and each party's rows (2, 0, 0, 0) and then
+    (1, n) per direction, rows_a @ T @ rows_b.T is 4 times the +1-outcome
+    probabilities in Collins-Gisin layout: P(a_i) = (1 + a.u)/2 in column 0,
+    P(b_j) = (1 + b.v)/2 in row 0 and P(a_i, b_j) = (1 + a.u + b.v + a.W.b)/4.
+    """
+    T = np.block([[np.ones((1, 1)), form.v[None]], [form.u[:, None], form.W]])
+    m, n = table.shape[0] - 1, table.shape[1] - 1
+
+    def value(x):
+        h = _rows(x)
+        a, b = np.concatenate([_E0, h[:m]]), np.concatenate([_E0, h[m:]])
+        return float(np.sum(table * (a @ T @ b.T))) / 4
+
+    scale = np.tile([1, 2], m + n)
+    starts = list(first) + [
+        np.random.default_rng([cfg.seed, i]).uniform(0.0, math.pi, 2 * (m + n)) * scale
+        for i in range(cfg.restarts - len(first))
+    ]
+    best, x, converged = _best_of(value, starts)
+    return best, _rows(x)[:, 1:], converged
 
 
 def chsh_max(rho: DensityMatrix, cfg: OptConfig = OptConfig()) -> CriterionReport:
@@ -169,54 +207,17 @@ def chsh_max(rho: DensityMatrix, cfg: OptConfig = OptConfig()) -> CriterionRepor
     first restart and is carried in the witness as a cross-check.
     """
     form = decompose(rho)
-    u, v, W = form.u, form.v, form.W
-
-    def value_at(a1, a2, b1, b2):
-        pa1 = (1.0 + a1 @ u) / 2.0
-        pb1 = (1.0 + b1 @ v) / 2.0
-        return (
-            -pa1
-            - pb1
-            - _joint_prob(u, v, W, a2, b2)
-            + _joint_prob(u, v, W, a1, b1)
-            + _joint_prob(u, v, W, a1, b2)
-            + _joint_prob(u, v, W, a2, b1)
-        )
-
-    def neg(x):
-        return -value_at(
-            unit_vector(x[0], x[1]),
-            unit_vector(x[2], x[3]),
-            unit_vector(x[4], x[5]),
-            unit_vector(x[6], x[7]),
-        )
-
-    def angles_of(n):
-        return [math.acos(max(-1.0, min(1.0, n[2]))), math.atan2(n[1], n[0])]
-
     # analytic optimum from the top singular pair of W
-    U, sv, Vt = np.linalg.svd(W)
+    U, sv, Vt = np.linalg.svd(form.W)
     chi = math.atan2(sv[1], sv[0])
     b1v = math.cos(chi) * Vt[0] + math.sin(chi) * Vt[1]
     b2v = math.cos(chi) * Vt[0] - math.sin(chi) * Vt[1]
-    starts = [np.array(angles_of(U[:, 0]) + angles_of(U[:, 1]) + angles_of(b1v) + angles_of(b2v))]
-    for i in range(cfg.restarts - 1):
-        rng = np.random.default_rng([cfg.seed, i])
-        starts.append(rng.uniform(0.0, math.pi, 8) * np.array([1, 2, 1, 2, 1, 2, 1, 2]))
-
-    best, best_x, converged = -math.inf, None, 0
-    for x0 in starts:
-        res = _nm(neg, x0, cfg)
-        converged += bool(res.success)
-        if -res.fun > best:
-            best, best_x = -res.fun, res.x
+    d = np.array([U[:, 0], U[:, 1], b1v, b2v])
+    start = np.column_stack([np.arccos(np.clip(d[:, 2], -1.0, 1.0)), np.arctan2(d[:, 1], d[:, 0])])
+    value, dirs, converged = _bell_max(_CHSH, form, cfg, [start.ravel()])
     horodecki = (2 * math.sqrt(sv[0] ** 2 + sv[1] ** 2) - 2) / 4
-    witness = {
-        "directions": [unit_vector(best_x[2 * k], best_x[2 * k + 1]) for k in range(4)],
-        "horodecki": horodecki,
-        "converged_restarts": converged,
-    }
-    return _report("chsh", best, 0.0, witness)
+    witness = {"directions": dirs, "horodecki": horodecki, "converged_restarts": converged}
+    return _report("chsh", value, 0.0, witness)
 
 
 def i3322_max(rho: DensityMatrix, cfg: OptConfig = OptConfig()) -> CriterionReport:
@@ -224,37 +225,8 @@ def i3322_max(rho: DensityMatrix, cfg: OptConfig = OptConfig()) -> CriterionRepo
 
     Local states satisfy value <= 0; the maximally entangled value is 0.25.
     """
-    form = decompose(rho)
-    u, v, W = form.u, form.v, form.W
-
-    def neg(x):
-        a = [unit_vector(x[0], x[1]), unit_vector(x[2], x[3]), unit_vector(x[4], x[5])]
-        b = [unit_vector(x[6], x[7]), unit_vector(x[8], x[9]), unit_vector(x[10], x[11])]
-
-        def P(i, j):
-            return _joint_prob(u, v, W, a[i], b[j])
-
-        val = (
-            -2 * (1.0 + b[0] @ v) / 2.0
-            - (1.0 + b[1] @ v) / 2.0
-            - (1.0 + a[0] @ u) / 2.0
-            + P(0, 0) + P(0, 1) + P(0, 2)
-            + P(1, 0) + P(1, 1) - P(1, 2)
-            + P(2, 0) - P(2, 1)
-        )
-        return -val
-
-    best, best_x, converged = -math.inf, None, 0
-    for i in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.seed, i])
-        x0 = rng.uniform(0.0, math.pi, 12) * np.tile([1, 2], 6)
-        res = _nm(neg, x0, cfg)
-        converged += bool(res.success)
-        if -res.fun > best:
-            best, best_x = -res.fun, res.x
-    dirs = [unit_vector(best_x[2 * k], best_x[2 * k + 1]) for k in range(6)]
-    witness = {"directions": dirs, "converged_restarts": converged}
-    return _report("i3322", best, 0.0, witness)
+    value, dirs, converged = _bell_max(_I3322, decompose(rho), cfg)
+    return _report("i3322", value, 0.0, {"directions": dirs, "converged_restarts": converged})
 
 
 def bell_local_3322(rho: DensityMatrix, cfg: OptConfig = OptConfig()) -> CriterionReport:
@@ -300,11 +272,6 @@ def canonical_form(rho: DensityMatrix) -> CanonicalForm:
     return CanonicalForm(diag.base.u, np.diag(diag.base.W))
 
 
-def bowles_criterion_value(c: CanonicalForm, x: np.ndarray) -> float:
-    """Criterion integrand (a.x)^2 + 2|diag(w) x| at direction x."""
-    return float((c.a @ x) ** 2 + 2 * np.linalg.norm(c.w * x))
-
-
 def bowles_unsteerable(c: CanonicalForm, cfg: OptConfig = OptConfig()) -> CriterionReport:
     """Sufficient unsteerability check on a canonical form.
 
@@ -312,7 +279,7 @@ def bowles_unsteerable(c: CanonicalForm, cfg: OptConfig = OptConfig()) -> Criter
     certifies unsteerability (one way, first party steering); violated means
     undecided, since the criterion is sufficient only.
     """
-    res = max_unit_sphere(lambda x: bowles_criterion_value(c, x), cfg)
+    res = max_unit_sphere(lambda x: float((c.a @ x) ** 2 + 2 * np.linalg.norm(c.w * x)), cfg)
     witness = {"x": res.argmax, "converged_restarts": res.converged_restarts}
     return _report("bowles", res.value, 1.0, witness)
 

@@ -7,6 +7,7 @@ serialization used by the CLI.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,12 +40,14 @@ class FamilySpec:
             (rows,) = _require(params, ("matrix",))
             entries = np.array(rows, dtype=object)
             if entries.shape != (4, 4, 2) or not all(map(_is_number, entries.flat)):
-                raise ArgumentError("raw matrix must be 4 rows of 4 [re, im] pairs of numbers")
+                raise ArgumentError(
+                    "raw matrix must be 4 rows of 4 [re, im] pairs of finite numbers"
+                )
             params = {"matrix": np.array([[complex(*c) for c in row] for row in entries])}
         else:
             bad = sorted(k for k, v in params.items() if not _is_number(v))
             if bad:
-                raise ArgumentError(f"parameter(s) {bad} must be JSON numbers")
+                raise ArgumentError(f"parameter(s) {bad} must be finite JSON numbers")
         return FamilySpec(fam, params)
 
     def to_dict(self) -> dict:
@@ -58,8 +61,9 @@ class FamilySpec:
 
 
 def _is_number(x) -> bool:
-    """A JSON number: true/false and quoted numbers would otherwise pass float()."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A finite JSON number: true/false and quoted numbers would otherwise
+    pass float(), and an integer beyond the float range overflows it."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _require(params: dict, names) -> list:

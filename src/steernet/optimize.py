@@ -15,20 +15,20 @@ from .errors import ArgumentError, EvaluationError, InternalError
 
 _GOLDEN = (1 + 5**0.5) / 2
 _LATTICE = 256  # fixed base grid so start points do not depend on restart count
+_MAX_ITER = 2000
+_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class OptConfig:
-    """Multi-start search budget and determinism knobs."""
+    """Multi-start search budget and seed."""
 
     restarts: int = 64
-    max_iter: int = 2000
-    tol: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1 or self.max_iter < 1 or self.tol <= 0 or self.seed < 0:
-            raise ArgumentError("OptConfig fields must be positive")
+        if self.restarts < 1 or self.seed < 0:
+            raise ArgumentError("OptConfig needs restarts >= 1 and seed >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,7 +40,7 @@ class OptResult:
     converged_restarts: int
 
 
-def _nm(neg, x0, cfg):
+def _nm(neg, x0):
     # imported on first use: only the numeric searches need scipy, and the
     # import would otherwise dominate the start-up of every chain or star scan
     from scipy.optimize import minimize
@@ -50,19 +50,39 @@ def _nm(neg, x0, cfg):
         x0,
         method="Nelder-Mead",
         options={
-            "xatol": cfg.tol,
-            "fatol": cfg.tol,
-            "maxiter": cfg.max_iter,
-            "maxfev": 4 * cfg.max_iter,
+            "xatol": _TOL,
+            "fatol": _TOL,
+            "maxiter": _MAX_ITER,
+            "maxfev": 4 * _MAX_ITER,
         },
     )
 
 
-def _finite(val, where):
-    v = float(val)
+def _finite(value, point):
+    v = float(value)
     if not math.isfinite(v):
-        raise EvaluationError(f"objective returned {val!r} at {where}")
+        raise EvaluationError(f"objective returned {value!r} at {point}")
     return v
+
+
+def _best_of(f, starts):
+    """Maximize f by Nelder-Mead from each start in order.
+
+    Returns (maximum, point, converged restarts). A later start replaces
+    the best point only with a strictly larger value, so ties go to the
+    earlier start.
+    """
+
+    def neg(x):
+        return -_finite(f(x), x)
+
+    best, best_x, converged = -math.inf, None, 0
+    for x0 in starts:
+        res = _nm(neg, x0)
+        converged += bool(res.success)
+        if -res.fun > best:
+            best, best_x = -res.fun, res.x
+    return best, best_x, converged
 
 
 def unit_vector(theta: float, phi: float) -> np.ndarray:
@@ -91,24 +111,15 @@ def max_unit_sphere(f, cfg: OptConfig = OptConfig()) -> OptResult:
     (closed-form optima in this package sit on axes; this keeps the
     agreement with them exact).
     """
-
-    def neg(angles):
-        return -_finite(f(unit_vector(angles[0], angles[1])), f"angles {angles}")
-
-    best_val = -math.inf
-    best_x = None
-    converged = 0
-    for i in range(cfg.restarts):
-        res = _nm(neg, _sphere_start(i, cfg.seed), cfg)
-        converged += bool(res.success)
-        if -res.fun > best_val:
-            best_val = -res.fun
-            best_x = unit_vector(res.x[0], res.x[1])
+    best_val, angles, converged = _best_of(
+        lambda t: f(unit_vector(t[0], t[1])),
+        [_sphere_start(i, cfg.seed) for i in range(cfg.restarts)],
+    )
+    best_x = unit_vector(angles[0], angles[1])
     for ax in _AXES:
-        v = _finite(f(ax), f"axis {ax}")
+        v = _finite(f(ax), ax)
         if v > best_val:
-            best_val = v
-            best_x = ax
+            best_val, best_x = v, ax
     return OptResult(best_val, best_x, converged)
 
 
@@ -141,19 +152,11 @@ def swap_criterion_ceiling(cfg: OptConfig = OptConfig()) -> OptResult:
         w2 = math.sin(x[8]) ** 2 * unit_vector(x[9], x[10])
         return xh, u2, w1, w2
 
-    def neg(x):
-        return -_finite(swap_criterion_value(*unpack(x)), "ceiling params")
-
-    best_val = -math.inf
-    best_x = None
-    converged = 0
-    for i in range(cfg.restarts):
-        x0 = np.random.default_rng([cfg.seed, i]).uniform(-math.pi, math.pi, 11)
-        res = _nm(neg, x0, cfg)
-        converged += bool(res.success)
-        if -res.fun > best_val:
-            best_val = -res.fun
-            best_x = res.x
+    best_val, best_x, converged = _best_of(
+        lambda x: swap_criterion_value(*unpack(x)),
+        [np.random.default_rng([cfg.seed, i]).uniform(-math.pi, math.pi, 11)
+         for i in range(cfg.restarts)],
+    )
     xh, u2, w1, w2 = unpack(best_x)
     if (
         abs(np.linalg.norm(xh) - 1) > 1e-9

@@ -80,6 +80,30 @@ def test_check_rejects_bad_parameters():
         raw["matrix"][0][0] = entry
         r = run_cli("check", "f3", json.dumps(raw))
         assert r.returncode == 2 and "Traceback" not in r.stderr, entry
+    # a JSON integer too large for a float, as a parameter and as a raw entry
+    huge = str(10**400)
+    r = run_cli("check", "f3", '{"family":"gamma1","p":%s,"alpha":0.1}' % huge)
+    assert r.returncode == 2 and "Traceback" not in r.stderr
+    raw = json.loads(PHI_PLUS_RAW)
+    raw["matrix"][0][1] = [10**400, 0]
+    r = run_cli("check", "f3", json.dumps(raw))
+    assert r.returncode == 2 and "Traceback" not in r.stderr
+
+
+def test_check_rejects_flags_its_criterion_does_not_read():
+    state = '{"family":"werner","p":0.5}'
+    triad = "1,0,0;0,1,0;0,0,1"
+    for args in (
+        ("f3", state, "--restarts", "0"),
+        ("f3", state, "--seed", "3"),
+        ("cjwr", state, "--restarts", "4"),
+        ("f3", state, "--alice", triad, "--charlie", triad),
+        ("chsh", state, "--alice", triad, "--charlie", triad),
+        ("unsteerable", state, "--charlie", triad),
+    ):
+        r = run_cli("check", *args)
+        assert r.returncode == 2, args
+        assert "does not read" in r.stderr and r.stdout == "", args
 
 
 _SCIPY_PROBE = """
@@ -179,6 +203,8 @@ def test_scan_rejects_flags_its_kind_does_not_read():
         ("linear", "--alpha", "0.1", "--p", "0:1:2", "--identical"),
         ("star", "--alpha", "0.2", "--p1", "0.1", "--p2", "0.1", "--p3", "0:1:2", "--p", "0.4"),
         ("star", "--alpha", "0.2", "--p1", "0.1", "--p2", "0.1", "--p3", "0:1:2", "--audit-bell"),
+        ("star", "--alpha", "0.2", "--p1", "0.1", "--p2", "0.1", "--p3", "0:1:2",
+         "--seed", "3", "--restarts", "5"),
         ("genuine", "--beta1", "0.7", "--s1", "0:1:2", "--identical", "--s2", "0.5"),
         ("genuine", "--beta1", "0.7", "--s1", "0.5", "--beta2", "0.6", "--s2", "0:1:1",
          "--alpha-fixed", "0.1"),

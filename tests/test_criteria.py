@@ -97,6 +97,46 @@ def test_chsh_matches_closed_form_on_random_states():
         assert rep.value == pytest.approx(rep.witness["horodecki"], abs=1e-7)
 
 
+_PAULI = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]]),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def _projector(n):
+    """(I + n.sigma)/2, the +1 outcome of a spin measurement along n."""
+    return (np.eye(2) + sum(c * s for c, s in zip(n, _PAULI))) / 2
+
+
+def _probabilities(rho, alice, bob):
+    """Dense-matrix P(a_i), P(b_j) and P(a_i, b_j) = Tr[rho Pi_a x Pi_b]."""
+    pa = [np.trace(rho.mat @ np.kron(_projector(a), np.eye(2))).real for a in alice]
+    pb = [np.trace(rho.mat @ np.kron(np.eye(2), _projector(b))).real for b in bob]
+    pab = [[np.trace(rho.mat @ np.kron(_projector(a), _projector(b))).real for b in bob]
+           for a in alice]
+    return pa, pb, pab
+
+
+def test_bell_witnesses_attain_their_values():
+    rng = np.random.default_rng(71)
+    product = DensityMatrix(np.kron(np.diag([0.9, 0.1]), [[0.6, 0.3 - 0.1j], [0.3 + 0.1j, 0.4]]))
+    # a witness attains its value whether or not the search found the maximum
+    cfg = OptConfig(restarts=2, seed=0)
+    for rho in [rand_state(rng) for _ in range(3)] + [werner(1.0), product]:
+        rep = chsh_max(rho, cfg)
+        d = rep.witness["directions"]
+        pa, pb, p = _probabilities(rho, d[:2], d[2:])
+        chsh = p[0][0] + p[0][1] + p[1][0] - p[1][1] - pa[0] - pb[0]
+        assert chsh == pytest.approx(rep.value, abs=1e-12)
+        rep = i3322_max(rho, cfg)
+        d = rep.witness["directions"]
+        pa, pb, p = _probabilities(rho, d[:3], d[3:])
+        i3322 = (p[0][0] + p[0][1] + p[0][2] + p[1][0] + p[1][1] - p[1][2] + p[2][0] - p[2][1]
+                 - pa[0] - 2 * pb[0] - pb[1])
+        assert i3322 == pytest.approx(rep.value, abs=1e-12)
+
+
 def test_chsh_werner_values():
     # closed form (sqrt(2) p - 1)/2
     rep = chsh_max(werner(1.0), LIGHT)

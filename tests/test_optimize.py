@@ -5,6 +5,7 @@ import pytest
 
 from steernet import (
     ArgumentError,
+    EvaluationError,
     OptConfig,
     max_unit_sphere,
     swap_criterion_ceiling,
@@ -17,9 +18,14 @@ def test_opt_config_validation():
     with pytest.raises(ArgumentError):
         OptConfig(restarts=0)
     with pytest.raises(ArgumentError):
-        OptConfig(max_iter=-1)
-    with pytest.raises(ArgumentError):
-        OptConfig(tol=0.0)
+        OptConfig(seed=-1)
+    OptConfig(restarts=1, seed=0)
+
+
+def test_non_finite_objective_raises_evaluation_error():
+    # the message names the polar angles of the first start point
+    with pytest.raises(EvaluationError, match=r"returned nan at \[ *\S+ +\S+\]$"):
+        max_unit_sphere(lambda x: math.nan, OptConfig(restarts=2, seed=0))
 
 
 def test_unit_vector_parametrization():
