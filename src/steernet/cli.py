@@ -15,13 +15,13 @@ Exit codes: 0 success, 1 reproduction mismatch, 2 input error, 3 I/O error.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from .bloch import decompose
 from .criteria import (
-    DELTA,
     CriterionReport,
     MeasurementTriad,
     _report,
@@ -36,15 +36,15 @@ from .criteria import (
     reduced_steering,
 )
 from .errors import ArgumentError, SteernetError
-from .families import FamilySpec, make_state, omega, omega_unsteerable
+from .families import FamilySpec, make_state
 from .netswap import bsm_swap, star_swap
-from .optimize import OptConfig, swap_criterion_ceiling, swap_criterion_value
+from .optimize import OptConfig
 from .qmat import DensityMatrix
+from .reproduce import TARGETS
 from .sweep import (
     GridSpec,
     csv_lines,
     dumps,
-    format_float,
     result_to_dict,
     scan_genuine,
     scan_linear,
@@ -129,7 +129,8 @@ _READS = {
     "check i3322": ("restarts", "seed"),
     "check bell-local": ("restarts", "seed"),
     "check unsteerable": ("restarts", "seed"),
-    "scan linear": ("p", "alpha", "alpha_fixed", "audit_bell", "restarts", "seed"),
+    "scan linear": ("p", "alpha", "alpha_fixed"),
+    "scan linear --audit-bell": ("p", "alpha", "alpha_fixed", "audit_bell", "restarts", "seed"),
     "scan star": ("alpha", "p1", "p2", "p3"),
     "scan genuine": ("beta1", "s1", "beta2", "s2", "restarts", "seed"),
     "scan genuine --identical": ("beta1", "s1", "identical", "restarts", "seed"),
@@ -222,7 +223,7 @@ def cmd_swap(args) -> int:
 
 
 def _grid_token(text: str):
-    """Either a float (fixed) or lo:hi:n meaning n intervals, n+1 points."""
+    """Either a finite float (fixed) or lo:hi:n meaning n intervals, n+1 points."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -231,13 +232,18 @@ def _grid_token(text: str):
             lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
             raise ArgumentError(f"bad grid range {text!r}") from exc
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ArgumentError(f"grid range ends must be finite, got {text!r}")
         if n < 1:
             raise ArgumentError("grid range needs at least 1 interval")
         return (lo, hi, n + 1)
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise ArgumentError(f"expected number or lo:hi:n, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise ArgumentError(f"grid value must be finite, got {text!r}")
+    return value
 
 
 def _build_grid(args, names) -> GridSpec:
@@ -269,8 +275,12 @@ def _emit_result(result, args) -> int:
 
 
 def cmd_scan(args) -> int:
-    identical = " --identical" if args.kind == "genuine" and args.identical else ""
-    _reject_unread(args, f"scan {args.kind}{identical}")
+    kind = f"scan {args.kind}"
+    if args.kind == "linear" and args.audit_bell:
+        kind += " --audit-bell"
+    if args.kind == "genuine" and args.identical:
+        kind += " --identical"
+    _reject_unread(args, kind)
     if args.alpha is not None and args.alpha_fixed is not None:
         raise ArgumentError("give --alpha or --alpha-fixed, not both")
     cfg = _opt_config(args, 8)
@@ -293,172 +303,10 @@ def cmd_scan(args) -> int:
     return _emit_result(result, args)
 
 
-def _window(points, mask):
-    idx = np.flatnonzero(np.asarray(mask))
-    if idx.size == 0:
-        return None
-    return (float(points[idx[0]]), float(points[idx[-1]]))
-
-
-def _row(lines, name, ok, detail):
-    lines.append(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
-    return ok
-
-
-def _check_window(lines, name, win, expected, tol):
-    if expected is None:
-        ok = win is None
-        detail = "no activation anywhere" if ok else f"unexpected window {win}"
-        return _row(lines, name, ok, detail)
-    if win is None:
-        return _row(lines, name, False, f"expected window {expected}, found none")
-    ok = abs(win[0] - expected[0]) <= tol and abs(win[1] - expected[1]) <= tol
-    detail = (
-        f"measured ({format_float(win[0])}, {format_float(win[1])}] "
-        f"vs reference ({format_float(expected[0])}, {format_float(expected[1])}] "
-        f"at tolerance {tol:g}"
-    )
-    return _row(lines, name, ok, detail)
-
-
-_STEPS = 500  # reference scans use 500 intervals, i.e. step 0.002 on [0, 1]
-
-
-def _reproduce_linear_region(lines) -> bool:
-    grid = GridSpec([("p", 0.0, 1.0, _STEPS + 1)], {"alpha": 0.1})
-    result = scan_linear(grid)
-    ps = grid.points("p")
-    step = ps[1] - ps[0]
-    ok = True
-    for k, lab in enumerate(result.labels):
-        vals = np.array([c.values[k] for c in result.cells])
-        act = np.array([c.activated[k] for c in result.cells])
-        if lab in ("00", "01"):
-            win = _window(ps, vals > 1.0 + DELTA)
-            ok &= _check_window(lines, f"outcome {lab} window", win, (0.001, 0.331), step)
-        else:
-            win = _window(ps, act)
-            ok &= _check_window(lines, f"outcome {lab} never activated", win, None, step)
-    return ok
-
-
-_STAR_WINDOWS = {
-    "1": (0.2, 1.0),
-    "6": (0.071, 0.467),
-    "7": (0.071, 0.465),
-    "8": (0.2, 1.0),
-}
-
-
-def _reproduce_star_table(lines) -> bool:
-    grid = GridSpec([("p3", 0.0, 1.0, _STEPS + 1)], {"p1": 0.08, "p2": 0.075})
-    result = scan_star(0.2, grid)
-    ps = grid.points("p3")
-    step = ps[1] - ps[0]
-    ok = True
-    for k, lab in enumerate(result.labels):
-        act = np.array([c.activated[k] for c in result.cells])
-        win = _window(ps, act)
-        expected = _STAR_WINDOWS.get(lab)
-        name = f"outcome {lab} activation range" if expected else f"outcome {lab} never activated"
-        ok &= _check_window(lines, name, win, expected, step)
-    return ok
-
-
-_GENUINE_ROWS = (
-    ((0.75, 0.76, 0.99), (0.58, 1.0)),
-    ((0.65, 0.60, 0.97), (0.78, 1.0)),
-    ((0.55, 0.55, 0.90), (0.88, 1.0)),
-    ((0.60, 0.55, 0.80), (0.98, 1.0)),
-)
-
-
-def _reproduce_genuine_table(lines) -> bool:
-    ok = True
-    for (b1, b2, s1), expected in _GENUINE_ROWS:
-        grid = GridSpec(
-            [("s2", 0.0, 1.0, _STEPS + 1)],
-            {"beta1": b1, "s1": s1, "beta2": b2},
-        )
-        result = scan_genuine(grid)
-        ps = grid.points("s2")
-        step = ps[1] - ps[0]
-        vals = np.array([c.values[0] for c in result.cells])  # outcome 00
-        win = _window(ps, vals > 1.0 + DELTA)
-        name = f"row ({b1}, {b2}, {s1}) outcome 00 s2-range"
-        ok &= _check_window(lines, name, win, expected, step)
-    return ok
-
-
-def _reproduce_certificate_bound(lines) -> bool:
-    res = swap_criterion_ceiling(OptConfig(restarts=64, seed=0))
-    ok1 = abs(res.value - 0.75) <= 1e-3
-    _row(lines, "certificate ceiling", ok1, f"optimum {format_float(res.value)} vs 0.75 (tol 1e-3)")
-    listed = swap_criterion_value(
-        np.array([1.0, 0.0, 0.0]),
-        np.array([1.0, 0.0, 0.0]),
-        np.array([0.5, 0.454199, 0.46353]),
-        np.array([-1.0, 0.0, 0.0]),
-    )
-    ok2 = abs(listed - 0.75) <= 1e-12
-    _row(lines, "listed maximizer", ok2, f"evaluates to {format_float(listed)}")
-    return ok1 and ok2
-
-
-_CONTROL_EXPECTED = {
-    "00": ((0.0, 0.0, 0.98107), (0.0729052, -0.0729052, 0.0128697)),
-    "01": ((0.0, 0.0, 0.98107), (-0.0729052, 0.0729052, 0.0128697)),
-    "10": ((0.0, 0.0, 0.907448), (0.0729052, 0.0729052, -0.0128697)),
-    "11": ((0.0, 0.0, 0.907448), (-0.0729052, -0.0729052, -0.0128697)),
-}
-
-
-def _reproduce_control_pair(lines) -> bool:
-    ok = True
-    pair = ((0.1, 0.7), (0.3, 0.59))
-    for k, (beta, s) in enumerate(pair, start=1):
-        cert = omega_unsteerable(beta, s)
-        ok &= _row(lines, f"input {k} certified unsteerable", cert, f"beta={beta}, s={s}")
-    c1 = canonical_form(omega(*pair[0]))
-    c2 = canonical_form(omega(*pair[1]))
-    outs = bsm_swap(c1.state(), c2.state())
-    for out in outs:
-        b = decompose(out.conditional)
-        eu, ew = _CONTROL_EXPECTED[out.label]
-        du = max(abs(b.u[i] - eu[i]) for i in range(3))
-        dw = max(abs(b.W[i, i] - ew[i]) for i in range(3))
-        doff = float(np.max(np.abs(b.W - np.diag(np.diag(b.W)))))
-        dv = float(np.max(np.abs(b.v)))
-        good = du <= 1e-5 and dw <= 1e-5 and doff <= 1e-5 and dv <= 1e-5
-        ok &= _row(
-            lines,
-            f"outcome {out.label} Bloch values",
-            good,
-            f"max deviation {format_float(max(du, dw, doff, dv))} (tol 1e-5)",
-        )
-        rep = bowles_unsteerable(canonical_form(out.conditional))
-        good = rep.verdict == "satisfied"
-        ok &= _row(
-            lines,
-            f"outcome {out.label} unsteerability",
-            good,
-            f"criterion value {format_float(rep.value)} <= 1",
-        )
-    return ok
-
-
-_TARGETS = {
-    "linear-region": _reproduce_linear_region,
-    "star-table": _reproduce_star_table,
-    "genuine-table": _reproduce_genuine_table,
-    "certificate-bound": _reproduce_certificate_bound,
-    "control-pair": _reproduce_control_pair,
-}
-
-
 def cmd_reproduce(args) -> int:
-    lines = []
-    ok = _TARGETS[args.target](lines)
+    rows = TARGETS[args.target]()
+    ok = all(row.ok for row in rows)
+    lines = [f"{'PASS' if row.ok else 'FAIL'}  {row.name}: {row.detail}" for row in rows]
     lines.append("result: " + ("all rows PASS" if ok else "some rows FAIL"))
     sys.stdout.write("\n".join(lines) + "\n")
     return 0 if ok else 1
@@ -506,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scn.set_defaults(func=cmd_scan)
 
     rep = sub.add_parser("reproduce", help="re-run a packaged reference configuration")
-    rep.add_argument("target", choices=sorted(_TARGETS))
+    rep.add_argument("target", choices=sorted(TARGETS))
     rep.set_defaults(func=cmd_reproduce)
     return ap
 

@@ -55,6 +55,8 @@ class MeasurementTriad:
         vs = np.asarray(vectors, dtype=float)
         if vs.shape != (3, 3):
             raise ArgumentError("a triad is three 3-vectors")
+        if not np.all(np.isfinite(vs)):
+            raise ArgumentError("triad vectors must be finite")
         norms = np.linalg.norm(vs, axis=1)
         if np.max(np.abs(norms - 1)) > 1e-12:
             raise ArgumentError("triad vectors must be unit length")

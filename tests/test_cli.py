@@ -169,7 +169,7 @@ def test_swap_star_mode_reports_reduced_verdicts():
 
 def test_scan_linear_csv_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ("scan", "linear", "--alpha-fixed", "0.1", "--p", "0:1:20", "--seed", "5")
+    args = ("scan", "linear", "--alpha-fixed", "0.1", "--p", "0:1:20")
     assert run_cli(*args, "--out", str(a)).returncode == 0
     assert run_cli(*args, "--out", str(b)).returncode == 0
     assert a.read_bytes() == b.read_bytes()
@@ -201,6 +201,9 @@ def test_scan_rejects_flags_its_kind_does_not_read():
         ("linear", "--alpha", "0.1", "--p", "0:1:2", "--p3", "0.5"),
         ("linear", "--alpha", "0.1", "--p", "0:1:2", "--s1", "0.2"),
         ("linear", "--alpha", "0.1", "--p", "0:1:2", "--identical"),
+        # no search runs without --audit-bell
+        ("linear", "--alpha", "0.1", "--p", "0:1:2", "--restarts", "5"),
+        ("linear", "--alpha", "0.1", "--p", "0:1:2", "--seed", "0"),
         ("star", "--alpha", "0.2", "--p1", "0.1", "--p2", "0.1", "--p3", "0:1:2", "--p", "0.4"),
         ("star", "--alpha", "0.2", "--p1", "0.1", "--p2", "0.1", "--p3", "0:1:2", "--audit-bell"),
         ("star", "--alpha", "0.2", "--p1", "0.1", "--p2", "0.1", "--p3", "0:1:2",
@@ -212,6 +215,18 @@ def test_scan_rejects_flags_its_kind_does_not_read():
         r = run_cli("scan", *args)
         assert r.returncode == 2, args
         assert "error" in r.stderr and r.stdout == "", args
+
+
+def test_scan_rejects_non_finite_grid_values():
+    for args in (
+        ("linear", "--alpha-fixed", "inf", "--p", "0:1:4"),
+        ("linear", "--alpha", "inf", "--p", "0:1:4"),
+        ("linear", "--alpha", "0.1", "--p=-inf:1:4"),
+        ("star", "--alpha", "1e400", "--p1", "0.1", "--p2", "0.1", "--p3", "0:1:4"),
+    ):
+        r = run_cli("scan", *args)
+        assert r.returncode == 2, args
+        assert "finite" in r.stderr and "Traceback" not in r.stderr, args
 
 
 def test_scan_unwritable_path_io_error():

@@ -53,6 +53,11 @@ def test_measurement_triad_validation():
     skew[0] = [1, 0.1, 0]
     with pytest.raises(ArgumentError):
         MeasurementTriad(skew)
+    # NaN fails every comparison, so the tolerance checks alone would let it through
+    nan = np.eye(3)
+    nan[0, 0] = np.nan
+    with pytest.raises(ArgumentError):
+        MeasurementTriad(nan)
 
 
 def test_cjwr_value_sign_insensitive():
