@@ -32,7 +32,6 @@ from .bloch import (
     reconstruct,
 )
 from .families import (
-    FamilySpec,
     gamma1,
     gamma2,
     gamma_f3,
@@ -68,4 +67,4 @@ from .criteria import (
     i3322_max,
     reduced_steering,
 )
-from .sweep import GridSpec, SweepCell, SweepResult, scan_genuine, scan_linear, scan_star, write_csv, write_json
+from .sweep import GridSpec, SweepCell, SweepResult, scan_genuine, scan_linear, scan_star

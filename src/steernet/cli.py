@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 reproduction mismatch, 2 input error, 3 I/O error.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -36,7 +37,7 @@ from .criteria import (
     reduced_steering,
 )
 from .errors import ArgumentError, SteernetError
-from .families import FamilySpec, make_state
+from .families import make_state
 from .netswap import bsm_swap, star_swap
 from .optimize import OptConfig
 from .qmat import DensityMatrix
@@ -49,8 +50,6 @@ from .sweep import (
     scan_genuine,
     scan_linear,
     scan_star,
-    write_csv,
-    write_json,
 )
 
 _INTERPRET = {
@@ -64,18 +63,6 @@ _INTERPRET = {
     "bowles": {"violated": "undecided", "satisfied": "certified-unsteerable"},
     "closed_form": {"violated": "undecided", "satisfied": "certified-unsteerable"},
 }
-
-
-def _clean(obj):
-    if isinstance(obj, CriterionReport):
-        return _report_dict(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, dict):
-        return {str(k): _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    return obj
 
 
 def _report_dict(rep: CriterionReport) -> dict:
@@ -92,7 +79,11 @@ def _report_dict(rep: CriterionReport) -> dict:
     if meaning is not None:
         out["interpretation"] = meaning
     if rep.witness is not None:
-        out["witness"] = _clean(rep.witness)
+        # bell-local nests its chsh and i3322 reports
+        out["witness"] = {
+            k: _report_dict(v) if isinstance(v, CriterionReport) else v
+            for k, v in rep.witness.items()
+        }
     return out
 
 
@@ -101,9 +92,7 @@ def _parse_state(text: str) -> DensityMatrix:
         d = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ArgumentError(f"state is not valid JSON: {exc}") from exc
-    if not isinstance(d, dict):
-        raise ArgumentError("state JSON must be an object")
-    return make_state(FamilySpec.from_dict(d))
+    return make_state(d)
 
 
 def _parse_triad(text: str) -> MeasurementTriad:
@@ -179,10 +168,7 @@ def cmd_check(args) -> int:
     elif kind == "unsteerable":
         c = canonical_form(rho)
         rep = bowles_unsteerable(c, cfg)
-        wit = dict(rep.witness)
-        wit["canonical_a"] = c.a
-        wit["canonical_w"] = c.w
-        rep = CriterionReport(rep.criterion, rep.value, rep.threshold, rep.verdict, wit, rep.margin)
+        rep = dataclasses.replace(rep, witness={**rep.witness, "canonical_a": c.a, "canonical_w": c.w})
     else:
         raise ArgumentError(f"unknown check {kind!r}")
     sys.stdout.write(dumps(_report_dict(rep)) + "\n")
@@ -193,14 +179,14 @@ def _outcome_dict(out, star: bool) -> dict:
     d = {"label": out.label, "probability": out.probability}
     if out.degenerate:
         d["degenerate"] = True
-        return _clean(d)
+        return d
     if star:
         # tripartite conditional: no two-qubit Bloch form, report pair verdicts
         d["reduced"] = _report_dict(reduced_steering(out.conditional))
     else:
         b = decompose(out.conditional)
         d.update({"u": b.u, "v": b.v, "W": b.W, "f3": f3_value(b)})
-    return _clean(d)
+    return d
 
 
 def cmd_swap(args) -> int:
@@ -261,16 +247,16 @@ def _build_grid(args, names) -> GridSpec:
 
 
 def _emit_result(result, args) -> int:
-    if args.out is None:
-        if args.format == "csv":
-            sys.stdout.write("\n".join(csv_lines(result)) + "\n")
-        else:
-            sys.stdout.write(dumps(result_to_dict(result)) + "\n")
-        return 0
+    """Write the result as CSV or JSON text to --out, or to stdout without it."""
     if args.format == "csv":
-        write_csv(result, args.out)
+        text = "\n".join(csv_lines(result)) + "\n"
     else:
-        write_json(result, args.out)
+        text = dumps(result_to_dict(result)) + "\n"
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
     return 0
 
 

@@ -2,62 +2,17 @@
 
 Two asymmetric noisy-singlet families (gamma1, gamma2) drive the linear and
 star networks; the omega family drives the genuine-activation pipeline; the
-werner family is kept for calibration. Family names double as the text
-serialization used by the CLI.
+werner family is kept for calibration. `make_state` parses the CLI's JSON
+state object: a family name with its parameters, or a raw matrix.
 """
 
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ArgumentError
 from .qmat import DensityMatrix, _trusted, basis_ket, validate_density
-
-FAMILIES = ("gamma1", "gamma2", "omega", "werner", "raw")
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """A family name plus its parameters; `raw` carries a full matrix."""
-
-    family: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ArgumentError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-
-    @staticmethod
-    def from_dict(d: dict) -> "FamilySpec":
-        """Parse the CLI JSON object form, e.g. {"family": "gamma1", "p": .., "alpha": ..}."""
-        if not isinstance(d, dict) or "family" not in d:
-            raise ArgumentError("state spec must be an object with a 'family' key")
-        fam = d["family"]
-        params = {k: v for k, v in d.items() if k != "family"}
-        if fam == "raw":
-            (rows,) = _require(params, ("matrix",))
-            entries = np.array(rows, dtype=object)
-            if entries.shape != (4, 4, 2) or not all(map(_is_number, entries.flat)):
-                raise ArgumentError(
-                    "raw matrix must be 4 rows of 4 [re, im] pairs of finite numbers"
-                )
-            params = {"matrix": np.array([[complex(*c) for c in row] for row in entries])}
-        else:
-            bad = sorted(k for k, v in params.items() if not _is_number(v))
-            if bad:
-                raise ArgumentError(f"parameter(s) {bad} must be finite JSON numbers")
-        return FamilySpec(fam, params)
-
-    def to_dict(self) -> dict:
-        d = {"family": self.family}
-        for k, v in self.params.items():
-            if k == "matrix":
-                d[k] = [[[float(c.real), float(c.imag)] for c in row] for row in v]
-            else:
-                d[k] = float(v)
-        return d
 
 
 def _is_number(x) -> bool:
@@ -80,27 +35,27 @@ def _check_range(name: str, x: float, lo: float, hi: float, open_ends: bool = Fa
     x = float(x)
     bad = not (lo < x < hi) if open_ends else not (lo <= x <= hi)
     if bad:
-        kind = "open" if open_ends else "closed"
-        raise ArgumentError(f"{name}={x} outside the {kind} range [{lo}, {hi}]")
+        interval = f"open range ({lo}, {hi})" if open_ends else f"closed range [{lo}, {hi}]"
+        raise ArgumentError(f"{name}={x} outside the {interval}")
     return x
+
+
+def _gamma(p: float, alpha: float, noise: tuple) -> DensityMatrix:
+    p = _check_range("p", p, 0.0, 1.0)
+    alpha = _check_range("alpha", alpha, 0.0, math.pi / 4)
+    phi = math.sin(alpha) * basis_ket((0, 1)) + math.cos(alpha) * basis_ket((1, 0))
+    k = basis_ket(noise)
+    return DensityMatrix((1 - p) * np.outer(phi, phi.conj()) + p * np.outer(k, k.conj()))
 
 
 def gamma1(p: float, alpha: float) -> DensityMatrix:
     """(1-p)|phi><phi| + p|00><00| with |phi> = sin(alpha)|01> + cos(alpha)|10>."""
-    p = _check_range("p", p, 0.0, 1.0)
-    alpha = _check_range("alpha", alpha, 0.0, math.pi / 4)
-    phi = math.sin(alpha) * basis_ket((0, 1)) + math.cos(alpha) * basis_ket((1, 0))
-    k00 = basis_ket((0, 0))
-    return DensityMatrix((1 - p) * np.outer(phi, phi.conj()) + p * np.outer(k00, k00.conj()))
+    return _gamma(p, alpha, (0, 0))
 
 
 def gamma2(p: float, alpha: float) -> DensityMatrix:
     """(1-p)|phi><phi| + p|11><11| with the same |phi> as gamma1."""
-    p = _check_range("p", p, 0.0, 1.0)
-    alpha = _check_range("alpha", alpha, 0.0, math.pi / 4)
-    phi = math.sin(alpha) * basis_ket((0, 1)) + math.cos(alpha) * basis_ket((1, 0))
-    k11 = basis_ket((1, 1))
-    return DensityMatrix((1 - p) * np.outer(phi, phi.conj()) + p * np.outer(k11, k11.conj()))
+    return _gamma(p, alpha, (1, 1))
 
 
 def omega(beta: float, s: float) -> DensityMatrix:
@@ -123,24 +78,54 @@ def werner(p: float) -> DensityMatrix:
     return DensityMatrix(p * np.outer(phip, phip.conj()) + (1 - p) * np.eye(4) / 4)
 
 
-def make_state(spec: FamilySpec) -> DensityMatrix:
-    """Construct the density matrix described by a FamilySpec."""
-    if spec.family == "gamma1":
-        return gamma1(*_require(spec.params, ("p", "alpha")))
-    if spec.family == "gamma2":
-        return gamma2(*_require(spec.params, ("p", "alpha")))
-    if spec.family == "omega":
-        return omega(*_require(spec.params, ("beta", "s")))
-    if spec.family == "werner":
-        return werner(*_require(spec.params, ("p",)))
-    (m,) = _require(spec.params, ("matrix",))
+def _raw(rows) -> DensityMatrix:
+    entries = np.array(rows, dtype=object)
+    if entries.shape != (4, 4, 2) or not all(map(_is_number, entries.flat)):
+        raise ArgumentError("raw matrix must be 4 rows of 4 [re, im] pairs of finite numbers")
+    m = np.array([[complex(*c) for c in row] for row in entries])
     rep = validate_density(m)
     if not rep.ok:
         raise ArgumentError(
             f"raw matrix failed validation: hermitian={rep.hermitian} "
             f"trace_dev={rep.trace_dev:.3e} min_eig={rep.min_eig:.3e}"
         )
-    return _trusted(np.array(m, dtype=complex))
+    return _trusted(m)
+
+
+# family name -> (constructor, parameter names in call order)
+_BUILDERS = {
+    "gamma1": (gamma1, ("p", "alpha")),
+    "gamma2": (gamma2, ("p", "alpha")),
+    "omega": (omega, ("beta", "s")),
+    "werner": (werner, ("p",)),
+    "raw": (_raw, ("matrix",)),
+}
+FAMILIES = tuple(_BUILDERS)
+
+
+def make_state(obj) -> DensityMatrix:
+    """Build the state named by a parsed CLI JSON object.
+
+    A named family takes finite JSON numbers, e.g.
+    {"family": "gamma1", "p": 0.6, "alpha": 0.6}; family "raw" takes
+    "matrix" as four rows of four [re, im] pairs, which must form a valid
+    density matrix. Any missing or extra key is an ArgumentError.
+    """
+    if not isinstance(obj, dict):
+        raise ArgumentError("state JSON must be an object")
+    if "family" not in obj:
+        raise ArgumentError("state spec must be an object with a 'family' key")
+    fam = obj["family"]
+    params = {k: v for k, v in obj.items() if k != "family"}
+    if fam != "raw":
+        bad = sorted(k for k, v in params.items() if not _is_number(v))
+        if bad:
+            raise ArgumentError(f"parameter(s) {bad} must be finite JSON numbers")
+    # tuple membership, not a dict lookup: a JSON list or object is unhashable
+    if fam not in FAMILIES:
+        raise ArgumentError(f"unknown family {fam!r}, expected one of {FAMILIES}")
+    build, names = _BUILDERS[fam]
+    return build(*_require(params, names))
 
 
 def gamma_f3(p: float, alpha: float) -> float:

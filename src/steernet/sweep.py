@@ -4,7 +4,8 @@ Each scan walks a rectangular grid, builds the input states at every cell,
 gates on the inputs being certified non-steerable, performs the swap, and
 records the steering value of every conditional outcome. A cell's activation
 flag for an outcome is set only when the gate holds, the outcome probability
-is at least 1e-12, and the value clears the threshold by more than DELTA.
+is at least netswap.DEGENERATE_PROB (1e-12), and the value clears the
+threshold 1 by more than DELTA.
 Values and probabilities are recorded for every cell regardless of the gate,
 so consumers can study the conditional quantities on their own.
 
@@ -23,10 +24,8 @@ from .criteria import DELTA, bowles_unsteerable, canonical_form, f3_value, reduc
 from .bloch import decompose
 from .errors import ArgumentError, SingularMarginalError
 from .families import gamma1, gamma2, gamma_f3, omega, omega_unsteerable
-from .netswap import bsm_swap, star_swap
+from .netswap import DEGENERATE_PROB, bsm_swap, star_swap
 from .optimize import OptConfig
-
-PROB_FLOOR = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,12 +95,13 @@ class SweepResult:
     metadata: dict
 
 
-def _flags(values, probs, inputs_ok, threshold=1.0):
+def _flags(values, probs, inputs_ok):
+    """Activation and boundary flags against the common threshold 1."""
     activated = tuple(
-        bool(inputs_ok and p >= PROB_FLOOR and v > threshold + DELTA)
+        bool(inputs_ok and p >= DEGENERATE_PROB and v > 1.0 + DELTA)
         for v, p in zip(values, probs)
     )
-    boundary = tuple(bool(abs(v - threshold) <= DELTA) for v in values)
+    boundary = tuple(bool(abs(v - 1.0) <= DELTA) for v in values)
     return activated, boundary
 
 
@@ -279,12 +279,6 @@ def result_to_dict(result: SweepResult) -> dict:
     }
 
 
-def write_json(result: SweepResult, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps(result_to_dict(result)))
-        fh.write("\n")
-
-
 def csv_lines(result: SweepResult):
     """CSV rows: axis columns, then s_/act_/b_ per outcome, then inputs_ok."""
     names = [ax[0] for ax in result.grid.axes]
@@ -303,10 +297,3 @@ def csv_lines(result: SweepResult):
             ]
         row.append(str(int(c.inputs_ok)))
         yield ",".join(row)
-
-
-def write_csv(result: SweepResult, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in csv_lines(result):
-            fh.write(line)
-            fh.write("\n")

@@ -1,8 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+# the CLI subprocesses import steernet from this checkout, installed or not
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))}
 
 PHI_PLUS_RAW = json.dumps(
     {
@@ -22,6 +28,7 @@ def run_cli(*args, **kw):
         [sys.executable, "-m", "steernet", *args],
         capture_output=True,
         text=True,
+        env=ENV,
         **kw,
     )
 
@@ -48,6 +55,19 @@ def test_check_unsteerable_omega():
     rep = json.loads(r.stdout)
     assert rep["interpretation"] == "certified-unsteerable"
     assert rep["witness"]["canonical_a"][2] == pytest.approx(0.944260, abs=1e-5)
+
+
+def test_check_bell_local_nests_both_reports():
+    r = run_cli("check", "bell-local", '{"family":"werner","p":1.0}', "--restarts", "2")
+    assert r.returncode == 0
+    rep = json.loads(r.stdout)
+    assert rep["interpretation"] == "bell-nonlocal"
+    for name in ("chsh", "i3322"):
+        inner = rep["witness"][name]
+        assert inner["criterion"] == name
+        assert inner["verdict"] == "violated"
+        assert inner["interpretation"] == "bell-nonlocal"
+    assert rep["value"] == max(rep["witness"]["chsh"]["value"], rep["witness"]["i3322"]["value"])
 
 
 def test_check_cjwr_closed_route():
@@ -127,7 +147,7 @@ print("scipy.optimize" in sys.modules)
 def test_scipy_loaded_only_by_the_numeric_searches():
     # chain and star scans, f3 and cjwr checks start without scipy; the Bowles
     # search of a genuine scan loads it
-    r = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], capture_output=True, text=True)
+    r = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], capture_output=True, text=True, env=ENV)
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == ["False", "True"]
 
@@ -175,6 +195,21 @@ def test_scan_linear_csv_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     header = a.read_text().splitlines()[0]
     assert header.startswith("p,s_00,act_00,b_00")
+
+
+def test_scan_out_file_matches_stdout(tmp_path):
+    for name, args in (
+        ("linear.csv", ("linear", "--alpha-fixed", "0.1", "--p", "0:1:20")),
+        ("star.json", ("star", "--alpha", "0.2", "--p1", "0.08", "--p2", "0.075",
+                       "--p3", "0:1:10", "--format", "json")),
+    ):
+        shown = subprocess.run([sys.executable, "-m", "steernet", "scan", *args],
+                               capture_output=True, env=ENV)
+        path = tmp_path / name
+        written = run_cli("scan", *args, "--out", str(path))
+        assert shown.returncode == written.returncode == 0, name
+        assert written.stdout == ""
+        assert path.read_bytes() == shown.stdout, name
 
 
 def test_scan_linear_json_stdout():

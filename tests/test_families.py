@@ -5,7 +5,6 @@ import pytest
 
 from steernet import (
     ArgumentError,
-    FamilySpec,
     bsm_swap,
     decompose,
     f3_value,
@@ -125,13 +124,10 @@ def test_werner_f3_threshold():
     assert f3_value(decompose(werner(pc + 1e-4))) > 1
 
 
-def test_family_spec_round_trip():
-    spec = FamilySpec.from_dict({"family": "gamma1", "p": 0.4, "alpha": 0.3})
-    rho = make_state(spec)
+def test_family_spec_named_family():
+    rho = make_state({"family": "gamma1", "p": 0.4, "alpha": 0.3})
     assert rho.qubits == 2
-    back = FamilySpec.from_dict(spec.to_dict())
-    assert back.family == "gamma1"
-    assert back.params["p"] == 0.4
+    assert np.array_equal(rho.mat, gamma1(0.4, 0.3).mat)
 
 
 def test_family_spec_raw_matrix():
@@ -139,11 +135,18 @@ def test_family_spec_raw_matrix():
             [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
             [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
             [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]]
-    rho = make_state(FamilySpec.from_dict({"family": "raw", "matrix": rows}))
+    rho = make_state({"family": "raw", "matrix": rows})
     b = decompose(rho)
     assert np.allclose(b.W, np.diag([1, -1, 1]), atol=1e-12)
 
 
 def test_family_spec_unknown_family():
     with pytest.raises(ArgumentError):
-        FamilySpec.from_dict({"family": "nope"})
+        make_state({"family": "nope"})
+
+
+def test_range_errors_print_the_interval_kind():
+    with pytest.raises(ArgumentError, match=r"outside the open range \(0\.0, 1\.5707963267948966\)"):
+        omega(0.0, 0.5)
+    with pytest.raises(ArgumentError, match=r"outside the closed range \[0\.0, 1\.0\]"):
+        omega(0.3, 1.5)
