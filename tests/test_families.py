@@ -141,8 +141,10 @@ def test_family_spec_raw_matrix():
 
 
 def test_family_spec_unknown_family():
-    with pytest.raises(ArgumentError):
-        make_state({"family": "nope"})
+    # a JSON list or object as the family name is unhashable
+    for family in ("nope", ["gamma1"], {"a": 1}, None):
+        with pytest.raises(ArgumentError):
+            make_state({"family": family})
 
 
 def test_range_errors_print_the_interval_kind():
