@@ -37,6 +37,7 @@ from .families import (
     gamma_f3,
     make_state,
     omega,
+    omega_canonical,
     omega_unsteerable,
     phi_branch_f3,
     psi_branch_f3,

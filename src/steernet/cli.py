@@ -121,8 +121,8 @@ _READS = {
     "scan linear": ("p", "alpha", "alpha_fixed"),
     "scan linear --audit-bell": ("p", "alpha", "alpha_fixed", "audit_bell", "restarts", "seed"),
     "scan star": ("alpha", "p1", "p2", "p3"),
-    "scan genuine": ("beta1", "s1", "beta2", "s2", "restarts", "seed"),
-    "scan genuine --identical": ("beta1", "s1", "identical", "restarts", "seed"),
+    "scan genuine": ("beta1", "s1", "beta2", "s2"),
+    "scan genuine --identical": ("beta1", "s1", "identical"),
 }
 
 
@@ -269,12 +269,11 @@ def cmd_scan(args) -> int:
     _reject_unread(args, kind)
     if args.alpha is not None and args.alpha_fixed is not None:
         raise ArgumentError("give --alpha or --alpha-fixed, not both")
-    cfg = _opt_config(args, 8)
     if args.kind == "linear":
         if args.alpha_fixed is not None:
             args.alpha = repr(args.alpha_fixed)
         grid = _build_grid(args, ("p", "alpha"))
-        result = scan_linear(grid, audit_bell=args.audit_bell, cfg=cfg)
+        result = scan_linear(grid, audit_bell=args.audit_bell, cfg=_opt_config(args, 8))
     elif args.kind == "star":
         if args.alpha is None:
             raise ArgumentError("star scan needs --alpha")
@@ -285,7 +284,7 @@ def cmd_scan(args) -> int:
         result = scan_star(tok, grid)
     else:
         grid = _build_grid(args, ("beta1", "s1", "beta2", "s2"))
-        result = scan_genuine(grid, identical=args.identical, cfg=cfg)
+        result = scan_genuine(grid, identical=args.identical)
     return _emit_result(result, args)
 
 
@@ -332,9 +331,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="genuine scan with two identical inputs")
     scn.add_argument("--audit-bell", action="store_true", dest="audit_bell",
                      help="also run Bell tests on activated cells (slow)")
-    scn.add_argument("--seed", type=int, help="search seed (default 0; linear, genuine)")
+    scn.add_argument("--seed", type=int, help="search seed (default 0; linear --audit-bell)")
     scn.add_argument("--restarts", type=int,
-                     help="search restarts (default 8; linear, genuine)")
+                     help="search restarts (default 8; linear --audit-bell)")
     scn.add_argument("--out", help="output path (default stdout)")
     scn.add_argument("--format", choices=["csv", "json"], default="csv")
     scn.set_defaults(func=cmd_scan)

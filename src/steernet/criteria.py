@@ -287,16 +287,34 @@ def bowles_unsteerable(c: CanonicalForm, cfg: OptConfig = OptConfig()) -> Criter
 
 
 def closed_form_unsteerable(c: CanonicalForm) -> CriterionReport:
-    """Closed form of the criterion maximum for a null local Bloch vector.
+    """Closed form of the bowles_unsteerable maximum for a local Bloch vector
+    on a coordinate axis k (Bowles, Hirsch, Quintino, Brunner, PRA 93,
+    022121, 2016).
 
-    With a = 0 the maximum over directions sits on a coordinate axis and
-    equals 2 max_j |w_j|.
+    With c = x_k^2 for a unit direction x, the rest of x goes to the larger
+    off-axis |w_j| =: w_m, so the maximum is that of
+    f(c) = a_k^2 c + 2 sqrt(w_m^2 (1 - c) + w_k^2 c) over c in [0, 1]. f is
+    concave, so it peaks at c = 0, at c = 1, or where f' = 0: when a_k != 0
+    and w_k^2 < w_m^2, at c = (q - w_m^2) / (w_k^2 - w_m^2) with
+    q = (w_k^2 - w_m^2)^2 / a_k^4. With a = 0 the value is 2 max_j |w_j|.
+    The witness is the maximizing direction. An off-axis a is an
+    ArgumentError.
     """
-    if np.linalg.norm(c.a) > 1e-10:
-        raise ArgumentError("closed form needs a null local Bloch vector")
-    j = int(np.argmax(np.abs(c.w)))
-    value = 2 * abs(float(c.w[j]))
-    return _report("closed_form", value, 1.0, {"axis": j})
+    k = int(np.argmax(np.abs(c.a)))
+    off = [j for j in range(3) if j != k]
+    if math.hypot(*c.a[off]) > 1e-10:
+        raise ArgumentError("closed form needs a local Bloch vector on a coordinate axis")
+    m = off[int(np.argmax(np.abs(c.w[off])))]
+    a2, wk, wm = float(c.a[k]) ** 2, abs(float(c.w[k])), abs(float(c.w[m]))
+    value, ck = max((2 * wm, 0.0), (a2 + 2 * wk, 1.0))
+    d = wk * wk - wm * wm
+    if a2 > 0 and d < 0:
+        root = ((d / a2) ** 2 - wm * wm) / d
+        if 0 < root < 1:
+            value, ck = max((value, ck), (a2 * root + 2 * math.sqrt(wm * wm + d * root), root))
+    x = np.zeros(3)
+    x[k], x[m] = math.sqrt(ck), math.sqrt(1 - ck)
+    return _report("closed_form", value, 1.0, {"x": x})
 
 
 _PAIR_NAMES = ("(1,2)", "(1,3)", "(2,3)")

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, SingularMarginalError
 from .qmat import DensityMatrix, _trusted, basis_ket, validate_density
 
 
@@ -170,13 +170,41 @@ def psi_branch_f3(p: float, alpha: float) -> float:
     return 2 * x * x + z * z
 
 
-def omega_unsteerable(beta: float, s: float) -> bool:
-    """Closed-form sufficient unsteerability gate for the omega family.
+def omega_canonical(beta: float, s: float) -> tuple:
+    """Closed-form canonical form (a_z, x, z) of omega(beta, s).
 
-    s = 0 is vacuously true (the state is then a product with I/2).
+    The canonical form has a = (0, 0, a_z) and w = (x, -x, z), equal to
+    `criteria.canonical_form(omega(beta, s))`. The second-party marginal is
+    diag(b0, b1) with b0 = s cos^2(beta) + (1-s)/2 and b1 = s sin^2(beta) +
+    (1-s)/2, and the sandwich by its inverse square root keeps the X-state
+    shape: diagonal d00 = (1+s)cos^2/(2 b0), d01 = (1-s)cos^2/(2 b1),
+    d10 = (1-s)sin^2/(2 b0), d11 = (1+s)sin^2/(2 b1) and coherence
+    k = s cos sin / sqrt(b0 b1), normalized by their sum t. Raises
+    SingularMarginalError where min(b0, b1) < 1e-12, the threshold of
+    `criteria.canonical_map`.
     """
     beta = _check_range("beta", beta, 0.0, math.pi / 2, open_ends=True)
     s = _check_range("s", s, 0.0, 1.0)
-    if s == 0:
+    cos2, sin2 = math.cos(beta) ** 2, math.sin(beta) ** 2
+    b0, b1 = s * cos2 + (1 - s) / 2, s * sin2 + (1 - s) / 2
+    if min(b0, b1) < 1e-12:
+        raise SingularMarginalError(f"second-party marginal has eigenvalue {min(b0, b1):.3e}")
+    d00, d01 = (1 + s) * cos2 / (2 * b0), (1 - s) * cos2 / (2 * b1)
+    d10, d11 = (1 - s) * sin2 / (2 * b0), (1 + s) * sin2 / (2 * b1)
+    k = s * math.cos(beta) * math.sin(beta) / math.sqrt(b0 * b1)
+    t = d00 + d01 + d10 + d11
+    return (d00 + d01 - d10 - d11) / t, 2 * k / t, (d00 - d01 - d10 + d11) / t
+
+
+def omega_unsteerable(beta: float, s: float) -> bool:
+    """Closed-form sufficient unsteerability gate for the omega family.
+
+    For s <= 1/2 the right-hand side is not positive, so the gate holds
+    (s = 0 leaves a product with I/2); this also keeps s^3 from underflowing
+    to 0 in the denominator.
+    """
+    beta = _check_range("beta", beta, 0.0, math.pi / 2, open_ends=True)
+    s = _check_range("s", s, 0.0, 1.0)
+    if 2 * s - 1 <= 0:
         return True
     return math.cos(2 * beta) ** 2 >= (2 * s - 1) / ((2 - s) * s**3)

@@ -2,10 +2,11 @@
 
 Each scan walks a rectangular grid, builds the input states at every cell,
 gates on the inputs being certified non-steerable, performs the swap, and
-records the steering value of every conditional outcome. A cell's activation
-flag for an outcome is set only when the gate holds, the outcome probability
-is at least netswap.DEGENERATE_PROB (1e-12), and the value clears the
-threshold 1 by more than DELTA.
+records the steering value of every conditional outcome; the genuine scan
+does each of these steps in closed form, on canonical forms (README). A
+cell's activation flag for an outcome is set only when the gate holds, the
+outcome probability is at least netswap.DEGENERATE_PROB (1e-12), and the
+value clears the threshold 1 by more than DELTA.
 Values and probabilities are recorded for every cell regardless of the gate,
 so consumers can study the conditional quantities on their own.
 
@@ -20,10 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .criteria import DELTA, bowles_unsteerable, canonical_form, f3_value, reduced_steering
+from .criteria import DELTA, CanonicalForm, closed_form_unsteerable, f3_value, reduced_steering
 from .bloch import decompose
 from .errors import ArgumentError, SingularMarginalError
-from .families import gamma1, gamma2, gamma_f3, omega, omega_unsteerable
+from .families import gamma1, gamma2, gamma_f3, omega_canonical, omega_unsteerable
 from .netswap import DEGENERATE_PROB, bsm_swap, star_swap
 from .optimize import OptConfig
 
@@ -177,18 +178,26 @@ def scan_star(alpha: float, grid: GridSpec) -> SweepResult:
     return _scan(grid, labels, one, ["reduced_steering"], 0, alpha=float(alpha))
 
 
-def scan_genuine(grid: GridSpec, identical: bool = False,
-                 cfg: OptConfig = OptConfig(restarts=8)) -> SweepResult:
+def scan_genuine(grid: GridSpec, identical: bool = False) -> SweepResult:
     """Canonical-form chain scan over (beta1, s1, beta2, s2).
 
-    Inputs are two pure-plus-product mixtures. The gate is the closed-form
-    unsteerability window for both, numerically confirmed on each canonical
-    form by the sufficient criterion. The swap runs on the canonical forms
-    and values are the f3 of the four conditionals. With identical=True the
-    second input reuses (beta1, s1) and only those two parameters are read.
+    Inputs are two pure-plus-product mixtures, each taken in its closed
+    canonical form a = (0, 0, a_z), w = (x, -x, z) (omega_canonical). The gate
+    is the closed-form unsteerability window for both, confirmed on each
+    canonical form by the sufficient criterion in closed form. Both canonical
+    inputs have a null second-party Bloch vector, so every swap outcome has
+    probability 1/4 and the conditional correlation diag(w1) diag(w2) up to
+    signs: each value is f3 = 2 x1^2 x2^2 + z1^2 z2^2 (README). With
+    identical=True the second input reuses (beta1, s1) and only those two
+    parameters are read.
     """
     labels = ("00", "01", "10", "11")
     nan4 = (math.nan,) * 4
+    quarter4 = (0.25,) * 4
+
+    def form(beta, s):
+        az, x, z = omega_canonical(beta, s)
+        return CanonicalForm((0.0, 0.0, az), (x, -x, z))
 
     def one(coords):
         if identical:
@@ -199,23 +208,20 @@ def scan_genuine(grid: GridSpec, identical: bool = False,
         same = (b1, s1) == (b2, s2)
         gate = omega_unsteerable(b1, s1) and (same or omega_unsteerable(b2, s2))
         try:
-            c1 = canonical_form(omega(b1, s1))
-            c2 = c1 if same else canonical_form(omega(b2, s2))
+            c1 = form(b1, s1)
+            c2 = c1 if same else form(b2, s2)
         except SingularMarginalError:
             return SweepCell(coords, nan4, nan4, (False,) * 4, (False,) * 4, False)
         inputs_ok = gate
         if gate:
             forms = (c1,) if same else (c1, c2)
-            inputs_ok = all(
-                bowles_unsteerable(c, cfg).value <= 1.0 - DELTA for c in forms
-            )
-        outs = bsm_swap(c1.state(), c2.state())
-        values = tuple(f3_value(decompose(o.conditional)) for o in outs)
-        probs = tuple(o.probability for o in outs)
-        activated, boundary = _flags(values, probs, inputs_ok)
-        return SweepCell(coords, values, probs, activated, boundary, inputs_ok)
+            inputs_ok = all(closed_form_unsteerable(c).value <= 1.0 - DELTA for c in forms)
+        xx, zz = c1.w[0] * c2.w[0], c1.w[2] * c2.w[2]
+        values = (float(2 * xx * xx + zz * zz),) * 4
+        activated, boundary = _flags(values, quarter4, inputs_ok)
+        return SweepCell(coords, values, quarter4, activated, boundary, inputs_ok)
 
-    return _scan(grid, labels, one, ["f3", "bowles"], cfg.seed, identical=bool(identical))
+    return _scan(grid, labels, one, ["f3", "bowles"], 0, identical=bool(identical))
 
 
 # serialization: floats printed with 17 significant digits so files

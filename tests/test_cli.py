@@ -138,15 +138,17 @@ run("scan", "linear", "--alpha", "0.1", "--p", "0:1:4")
 run("scan", "star", "--alpha", "0.2", "--p1", "0.08", "--p2", "0.075", "--p3", "0:1:4")
 run("check", "f3", '{"family":"gamma1","p":0.6,"alpha":0.6}')
 run("check", "cjwr", '{"family":"gamma1","p":0.6,"alpha":0.6}')
-print("scipy.optimize" in sys.modules)
 run("scan", "genuine", "--beta1", "0.7", "--s1", "0:1:2", "--identical")
+run("scan", "genuine", "--beta1", "0.3", "--s1", "0:1:2", "--beta2", "0.9", "--s2", "0:1:2")
+print("scipy.optimize" in sys.modules)
+run("check", "unsteerable", '{"family":"omega","beta":0.7,"s":0.5}', "--restarts", "2")
 print("scipy.optimize" in sys.modules)
 """
 
 
 def test_scipy_loaded_only_by_the_numeric_searches():
-    # chain and star scans, f3 and cjwr checks start without scipy; the Bowles
-    # search of a genuine scan loads it
+    # chain, star and genuine scans, f3 and cjwr checks run without scipy; the
+    # Bowles search of `check unsteerable` loads it
     r = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], capture_output=True, text=True, env=ENV)
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == ["False", "True"]
@@ -246,6 +248,10 @@ def test_scan_rejects_flags_its_kind_does_not_read():
         ("genuine", "--beta1", "0.7", "--s1", "0:1:2", "--identical", "--s2", "0.5"),
         ("genuine", "--beta1", "0.7", "--s1", "0.5", "--beta2", "0.6", "--s2", "0:1:1",
          "--alpha-fixed", "0.1"),
+        # the genuine gate is a closed form: no search runs
+        ("genuine", "--beta1", "0.7", "--s1", "0:1:2", "--identical", "--restarts", "5"),
+        ("genuine", "--beta1", "0.7", "--s1", "0.5", "--beta2", "0.6", "--s2", "0:1:1",
+         "--seed", "3"),
     ):
         r = run_cli("scan", *args)
         assert r.returncode == 2, args

@@ -227,9 +227,29 @@ def test_bowles_flags_undecided_above_one():
     assert rep.value > 1
 
 
-def test_closed_form_requires_null_bloch():
+def test_closed_form_requires_an_axis_bloch_vector():
     with pytest.raises(ArgumentError):
-        closed_form_unsteerable(CanonicalForm(np.array([0.1, 0, 0]), np.zeros(3)))
+        closed_form_unsteerable(CanonicalForm(np.array([0.1, 0.1, 0]), np.zeros(3)))
+
+
+def test_closed_form_matches_search_with_a_on_each_axis():
+    rng = np.random.default_rng(16)
+    interior = 0
+    for i in range(60):
+        k = i % 3
+        a = np.zeros(3)
+        a[k] = rng.uniform(-1, 1)
+        w = rng.uniform(-1, 1, 3)
+        if i % 2:
+            w[k] *= 0.2  # a weak on-axis correlation puts the maximum off the axes
+        c = CanonicalForm(a, w)
+        rep = closed_form_unsteerable(c)
+        assert rep.value == pytest.approx(bowles_unsteerable(c, LIGHT).value, abs=1e-10)
+        x = rep.witness["x"]
+        assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+        assert rep.value == pytest.approx((a @ x) ** 2 + 2 * np.linalg.norm(w * x), abs=1e-12)
+        interior += 1e-9 < x[k] ** 2 < 1 - 1e-9
+    assert interior >= 10
 
 
 def test_boundary_verdict():
